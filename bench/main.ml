@@ -11,7 +11,6 @@
                scalability motivation)
      ablate  — cache-geometry sweep, lock comparison, entry_ro rule,
                lazy vs eager release
-     micro   — Bechamel micro-benchmarks of the core machinery
 
    Absolute numbers come from a simulator, not the authors' FPGA; the
    *shape* (who wins, by roughly what factor) is what reproduces.  Paper
@@ -472,63 +471,6 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Micro = struct
-  open Bechamel
-
-  let test_transition =
-    Test.make ~name:"model: 64-op execution build"
-      (Staged.stage (fun () ->
-           let e = Pmc_model.Execution.create ~procs:4 ~locs:4 () in
-           for i = 0 to 63 do
-             ignore
-               (Pmc_model.Execution.write e ~proc:(i mod 4) ~loc:(i mod 4)
-                  ~value:i)
-           done))
-
-  let test_litmus =
-    Test.make ~name:"litmus: MP under PMC"
-      (Staged.stage (fun () ->
-           ignore
-             (Pmc_model.Litmus.enumerate
-                (module Pmc_model.Models.Pmc)
-                Pmc_model.Lprog.mp_plain)))
-
-  let test_sim =
-    Test.make ~name:"sim: 10k instructions"
-      (Staged.stage (fun () ->
-           let m = Machine.create { Config.small with cores = 1 } in
-           Machine.spawn m ~core:0 (fun () -> Machine.instr m 10_000);
-           Machine.run m))
-
-  let run () =
-    section "Micro-benchmarks (Bechamel)";
-    let benchmark test =
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg =
-        Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-      in
-      let raw = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false
-          ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Fmt.pr "%-34s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "%-34s (no estimate)@." name)
-        results
-    in
-    benchmark
-      (Test.make_grouped ~name:"pmc"
-         [ test_transition; test_litmus; test_sim ])
-end
-
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
-
 (* --json: the app × back-end matrix as machine-readable records, one
    JSON object per run with cycles, utilization and the per-category
    stall breakdown — for scripted regression tracking instead of the
@@ -592,7 +534,6 @@ let all_sections =
     ("fig10", Fig10.run);
     ("scaling", Scaling.run);
     ("ablate", Ablations.run);
-    ("micro", Micro.run);
   ]
 
 let () =

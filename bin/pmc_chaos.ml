@@ -24,17 +24,11 @@
    Seeded runs go through the shared Pmc_jobs layer — the same code
    path the pmc_serve daemon runs.  Exit codes follow the documented
    convention: 0 success; 2 input error; 3 property failure (wrong
-   result, zerocost difference); 4 formal PMC-model inconsistency. *)
+   result, zerocost difference); 4 formal PMC-model inconsistency; 5
+   (soak/crash --smoke) a passing run's trace went unchecked. *)
 
 open Cmdliner
 open Pmc_sim
-
-let parse_backend s =
-  match Pmc.Backends.of_string s with
-  | Some b -> b
-  | None ->
-      Fmt.epr "unknown backend %S (seqcst|nocc|swcc|dsm|spm|farmem)@." s;
-      exit 2
 
 let parse_app s =
   match Pmc_apps.Registry.find s with
@@ -44,89 +38,62 @@ let parse_app s =
         (String.concat ", " Pmc_apps.Registry.names);
       exit 2
 
-let parse_topology ~cores s =
-  match Topology.resolve s ~cores with
-  | Ok t -> t
-  | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-
 (* The smoke matrix: three kernels with distinct traffic shapes at a
    geometry small enough for CI. *)
 let smoke_apps = [ "histogram"; "reduce"; "stencil" ]
 
+let wall_apps ~smoke = function
+  | Some a -> [ a ]
+  | None -> if smoke then smoke_apps else Pmc_apps.Registry.names
+
+(* Run a wall of seeds on the pool; results come back in wall order at
+   any width.  The job layer validates every name and geometry, so a
+   rejected job is an input error. *)
+let run_wall ~name ~jobs wall =
+  let results =
+    Pmc_par.Pool.with_pool ~jobs (fun pool -> Pmc_jobs.Run.run_all ~pool wall)
+  in
+  List.iter
+    (function
+      | Pmc_jobs.Result.Error e ->
+          Fmt.epr "%s: %s@." name e.Pmc_jobs.Result.detail;
+          exit 2
+      | _ -> ())
+    results;
+  results
+
+(* A failing wall exits with its worst verdict's code: 4 (a model
+   inconsistency) over 3 (a wrong result, a torn object) over 2 (an
+   experiment error). *)
+let wall_exit_code results =
+  List.fold_left (fun c r -> max c (Pmc_jobs.Result.exit_code r)) 0 results
+
 (* ---------------- soak ---------------- *)
 
-(* A soak failure exits 4 when any run's model replay found the trace
-   PMC-inconsistent, else 3 — wrong results are property failures. *)
-let soak_exit_code (reports : Pmc_apps.Chaos.report list) =
-  if
-    List.exists
-      (fun (r : Pmc_apps.Chaos.report) ->
-        match r.Pmc_apps.Chaos.verdict with
-        | Pmc_apps.Chaos.Inconsistent _ -> true
-        | _ -> false)
-      reports
-  then 4
-  else 3
-
-let chaos_job ~app ~backend ~topology ~cores ~scale ~seed ~intensity
-    ~model_check ~replay_budget =
-  Pmc_jobs.Job.Chaos
-    {
-      Pmc_jobs.Job.c_app = app;
-      c_backend = backend;
-      c_topology = topology;
-      c_cores = cores;
-      c_scale = scale;
-      seed;
-      intensity;
-      model_check;
-      replay_budget;
-    }
+(* The smoke gate: with the model check on, every completed run must
+   have been replayed — an inconclusive trace (ring overflow, replay
+   budget) is not a pass. *)
+let gate_unchecked ~smoke ~no_model_check unchecked =
+  if smoke && (not no_model_check) && unchecked > 0 then begin
+    Fmt.epr "%d passing run(s) not model-checked@." unchecked;
+    exit 5
+  end
 
 let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
     no_model_check replay_budget jobs quiet =
-  ignore (parse_backend backend);
   (* smoke geometry: small enough that every trace fits the replay
      budget and the model checker runs on every completed seed *)
   let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
-  ignore (parse_topology ~cores topology);
-  let app_names =
-    match app with
-    | Some a ->
-        ignore (parse_app a);
-        [ a ]
-    | None ->
-        let names = if smoke then smoke_apps else Pmc_apps.Registry.names in
-        List.iter (fun a -> ignore (parse_app a)) names;
-        names
-  in
-  let seeds = List.init (max 1 seeds) (fun i -> seed_base + i) in
-  (* the wall of seeds as one job batch: apps outer, seeds inner — the
-     same run order (and therefore the same bytes) as always *)
-  let wall =
-    List.concat_map
-      (fun a ->
-        List.map
-          (fun seed ->
-            chaos_job ~app:a ~backend ~topology ~cores ~scale ~seed
-              ~intensity ~model_check:(not no_model_check) ~replay_budget)
-          seeds)
-      app_names
-  in
   let results =
-    Pmc_par.Pool.with_pool ~jobs (fun pool ->
-        Pmc_jobs.Run.run_all ~pool wall)
+    Pmc_jobs.Run.chaos_wall ~apps:(wall_apps ~smoke app) ~backend ~topology
+      ~cores ~scale
+      ~seeds:(List.init (max 1 seeds) (fun i -> seed_base + i))
+      ~intensity ~model_check:(not no_model_check) ~replay_budget
+    |> run_wall ~name:"soak" ~jobs
   in
   let reports =
     List.filter_map
-      (function
-        | Pmc_jobs.Result.Chaos_soaked r -> Some r
-        | Pmc_jobs.Result.Error e ->
-            Fmt.epr "soak: %s@." e.Pmc_jobs.Result.detail;
-            exit 2
-        | _ -> None)
+      (function Pmc_jobs.Result.Chaos_soaked r -> Some r | _ -> None)
       results
   in
   if not quiet then
@@ -140,26 +107,26 @@ let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
         if not (Pmc_apps.Chaos.acceptable r.Pmc_apps.Chaos.verdict) then
           Fmt.epr "FAILED: %a@." Pmc_apps.Chaos.pp_report r)
       s.Pmc_apps.Chaos.reports;
-    exit (soak_exit_code s.Pmc_apps.Chaos.reports)
-  end
+    exit (wall_exit_code results)
+  end;
+  gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Chaos.unchecked
 
 (* ---------------- run ---------------- *)
 
 let run_cmd app backend topology cores scale seed intensity no_model_check
     replay_budget =
-  ignore (parse_app app);
-  ignore (parse_backend backend);
-  ignore (parse_topology ~cores topology);
-  let r =
-    Pmc_jobs.Run.run
-      (chaos_job ~app ~backend ~topology ~cores ~scale ~seed ~intensity
-         ~model_check:(not no_model_check) ~replay_budget)
-  in
-  Fmt.pr "%a" Pmc_jobs.Result.pp r;
-  (match r with
-  | Pmc_jobs.Result.Error e -> Fmt.epr "run: %s@." e.Pmc_jobs.Result.detail
-  | _ -> ());
-  match Pmc_jobs.Result.exit_code r with 0 -> () | c -> exit c
+  (* a wall of one seed, printed in full *)
+  Pmc_jobs.Run.chaos_wall ~apps:[ app ] ~backend ~topology ~cores ~scale
+    ~seeds:[ seed ] ~intensity ~model_check:(not no_model_check)
+    ~replay_budget
+  |> List.iter (fun job ->
+         let r = Pmc_jobs.Run.run job in
+         Fmt.pr "%a" Pmc_jobs.Result.pp r;
+         (match r with
+         | Pmc_jobs.Result.Error e ->
+             Fmt.epr "run: %s@." e.Pmc_jobs.Result.detail
+         | _ -> ());
+         match Pmc_jobs.Result.exit_code r with 0 -> () | c -> exit c)
 
 (* ---------------- crash ---------------- *)
 
@@ -181,85 +148,18 @@ let parse_seed_list ~seed_base s =
       | _ -> fail ())
   | _ -> fail ()
 
-let crash_job ~app ~backend ~topology ~cores ~scale ~seed ~window ~log
-    ~model_check ~replay_budget =
-  Pmc_jobs.Job.Crash
-    {
-      Pmc_jobs.Job.x_app = app;
-      x_backend = backend;
-      x_topology = topology;
-      x_cores = cores;
-      x_scale = scale;
-      x_seed = seed;
-      x_window = window;
-      x_log = log;
-      x_model_check = model_check;
-      x_replay_budget = replay_budget;
-    }
-
-(* Torn objects are property failures (3); an inconsistent durable
-   prefix is a formal model violation (4); experiment errors are input/
-   runtime errors (2). *)
-let crash_exit_code (s : Pmc_apps.Crash.sweep) =
-  if s.Pmc_apps.Crash.inconsistent > 0 then 4
-  else if s.Pmc_apps.Crash.torn > 0 then 3
-  else 2
-
 let crash_cmd app backend topology cores scale seeds seed_base window no_log
     smoke no_model_check replay_budget jobs quiet =
-  let b = parse_backend backend in
   let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
-  let topo = parse_topology ~cores topology in
-  let app_names =
-    match app with
-    | Some a ->
-        ignore (parse_app a);
-        [ a ]
-    | None ->
-        let names = if smoke then smoke_apps else Pmc_apps.Registry.names in
-        List.iter (fun a -> ignore (parse_app a)) names;
-        names
-  in
-  let seeds = parse_seed_list ~seed_base seeds in
-  let log = not no_log in
-  (* the cut window is learned once per app from its fault-free twin
-     (mirroring Crash.sweep), then travels inside each job — the cut
-     cycle is fixed by the job encoding alone, at any --jobs width *)
-  let window_of =
-    match window with
-    | Some w -> fun _ -> max 1 w
-    | None ->
-        let cfg =
-          { Config.default with cores; topology = topo; farmem_log = log }
-        in
-        fun name ->
-          let a = parse_app name in
-          let r = Pmc_apps.Runner.run ~cfg a ~backend:b ~scale in
-          max 1 r.Pmc_apps.Runner.wall
-  in
-  let windows = List.map (fun a -> (a, window_of a)) app_names in
-  let wall =
-    List.concat_map
-      (fun (a, w) ->
-        List.map
-          (fun seed ->
-            crash_job ~app:a ~backend ~topology ~cores ~scale ~seed ~window:w
-              ~log ~model_check:(not no_model_check) ~replay_budget)
-          seeds)
-      windows
-  in
   let results =
-    Pmc_par.Pool.with_pool ~jobs (fun pool ->
-        Pmc_jobs.Run.run_all ~pool wall)
+    Pmc_jobs.Run.crash_wall ~apps:(wall_apps ~smoke app) ~backend ~topology
+      ~cores ~scale ~seeds:(parse_seed_list ~seed_base seeds) ~window
+      ~log:(not no_log) ~model_check:(not no_model_check) ~replay_budget
+    |> run_wall ~name:"crash" ~jobs
   in
   let reports =
     List.filter_map
-      (function
-        | Pmc_jobs.Result.Crash_checked r -> Some r
-        | Pmc_jobs.Result.Error e ->
-            Fmt.epr "crash: %s@." e.Pmc_jobs.Result.detail;
-            exit 2
-        | _ -> None)
+      (function Pmc_jobs.Result.Crash_checked r -> Some r | _ -> None)
       results
   in
   if not quiet then
@@ -272,8 +172,9 @@ let crash_cmd app backend topology cores scale seeds seed_base window no_log
         if not (Pmc_apps.Crash.acceptable r.Pmc_apps.Crash.verdict) then
           Fmt.epr "FAILED: %a@." Pmc_apps.Crash.pp_report r)
       s.Pmc_apps.Crash.reports;
-    exit (crash_exit_code s)
-  end
+    exit (wall_exit_code results)
+  end;
+  gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Crash.unchecked
 
 (* ---------------- zerocost ---------------- *)
 
@@ -468,7 +369,7 @@ let replay_budget_t =
     & info [ "replay-budget" ] ~docv:"N"
         ~doc:
           "Skip the model replay for traces above N captured events \
-           (default 10000).")
+           (default 100000 for soak, 500000 for crash).")
 
 let crash_seeds_t =
   Arg.(
@@ -511,6 +412,12 @@ let baseline_t =
           "Also replay this benchmark report's cases on a disarmed-chaos \
            machine and require exact metric equality.")
 
+let unchecked_exit =
+  Cmd.Exit.info 5
+    ~doc:
+      "with $(b,--smoke): a passing run's trace was not model-checked \
+       (inconclusive: ring overflow or over the replay budget)."
+
 let soak_c =
   Cmd.v
     (Cmd.info "soak"
@@ -522,6 +429,7 @@ let soak_c =
            Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
            Cmd.Exit.info 4
              ~doc:"a model replay found a trace PMC-inconsistent.";
+           unchecked_exit;
          ])
     Term.(
       const soak_cmd $ app_opt_t $ backend_t $ topology_t $ cores_t $ scale_t
@@ -557,6 +465,7 @@ let crash_c =
              ~doc:"property failure: a recovered object was torn.";
            Cmd.Exit.info 4
              ~doc:"a durable prefix replayed PMC-inconsistent.";
+           unchecked_exit;
          ])
     Term.(
       const crash_cmd $ app_opt_t $ crash_backend_t $ topology_t $ cores_t

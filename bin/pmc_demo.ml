@@ -34,15 +34,14 @@ let run_app app_name backend_name topology_name cores scale breakdown verify
           in
           let cfg = { Config.default with cores; topology } in
           let tracing = trace_file <> None || race_check || model_check in
-          let recorder = ref None in
-          let on_api =
+          let r, recorder =
             if tracing then
-              Some
-                (fun api ->
-                  recorder := Some (Pmc_trace.Recorder.attach ?capacity api))
-            else None
+              let outcome, rec_ =
+                Pmc_apps.Runner.run_traced ?capacity ~cfg app ~backend ~scale
+              in
+              (Pmc_apps.Runner.finished outcome, Some rec_)
+            else (Pmc_apps.Runner.run ~cfg app ~backend ~scale, None)
           in
-          let r = Pmc_apps.Runner.run ~cfg ?on_api app ~backend ~scale in
           Fmt.pr "%a" Pmc_apps.Runner.pp_result r;
           if breakdown then begin
             let s = r.Pmc_apps.Runner.summary in
@@ -55,7 +54,7 @@ let run_app app_name backend_name topology_name cores scale breakdown verify
               s.Stats.flushes
           end;
           let rc = ref 0 in
-          (match !recorder with
+          (match recorder with
           | None -> ()
           | Some rec_ ->
               let events = Pmc_trace.Recorder.events rec_ in
@@ -76,39 +75,32 @@ let run_app app_name backend_name topology_name cores scale breakdown verify
                    with Sys_error msg ->
                      Fmt.epr "trace: cannot write %s: %s@." path msg;
                      rc := 2));
-              if race_check then begin
-                let races = Pmc_trace.Racecheck.check ~cores events in
-                match races with
-                | [] -> Fmt.pr "race check: no data races detected@."
-                | races ->
-                    Fmt.pr "race check: %d distinct data race(s):@."
-                      (List.length races);
-                    List.iter
-                      (fun r ->
-                        Fmt.pr "  %a@." Pmc_trace.Racecheck.pp_race r)
-                      races;
-                    rc := 3
-              end;
-              if model_check then begin
-                if dropped > 0 then
-                  Fmt.epr
-                    "model check: trace incomplete (%d events dropped) — \
-                     verdict unreliable@."
-                    dropped;
-                let report = Pmc_trace.Replay.check ~cores events in
-                if Pmc_model.History.ok report then
-                  Fmt.pr "model check: run is PMC-consistent \
-                          (History.check ok)@."
-                else begin
-                  Fmt.pr "model check: %d violation(s):@."
-                    (List.length report.Pmc_model.History.violations);
-                  List.iter
-                    (fun v ->
-                      Fmt.pr "  %a@." Pmc_model.History.pp_violation v)
-                    report.Pmc_model.History.violations;
-                  rc := 4
-                end
-              end);
+              (* a lossy trace is inconclusive (exit 5) unless a definite
+                 failure already applies *)
+              let judge check ~name ~clean ~found ~pp ~code =
+                match
+                  Pmc_trace.Replay.verdict check ~cores ~dropped events
+                with
+                | Pmc_trace.Replay.Consistent -> Fmt.pr "%s: %s@." name clean
+                | Pmc_trace.Replay.Violations l ->
+                    Fmt.pr "%s: %d %s:@." name (List.length l) found;
+                    List.iter (fun x -> Fmt.pr "  %a@." pp x) l;
+                    rc := code
+                | Pmc_trace.Replay.Inconclusive why ->
+                    Fmt.pr "%s: inconclusive: %a (raise --trace-capacity)@."
+                      name Pmc_trace.Replay.pp_inconclusive why;
+                    if !rc = 0 then rc := 5
+              in
+              if race_check then
+                judge Pmc_trace.Replay.Races ~name:"race check"
+                  ~clean:"no data races detected"
+                  ~found:"distinct data race(s)"
+                  ~pp:Pmc_trace.Racecheck.pp_race ~code:3;
+              if model_check then
+                judge Pmc_trace.Replay.Model ~name:"model check"
+                  ~clean:"run is PMC-consistent (History.check ok)"
+                  ~found:"violation(s)" ~pp:Pmc_model.History.pp_violation
+                  ~code:4);
           if verify && not (Pmc_apps.Runner.ok r) then begin
             Fmt.epr "checksum mismatch!@.";
             exit 2
@@ -208,6 +200,10 @@ let exits =
        ~doc:
          "$(b,--model-check) found the run inconsistent with the formal \
           PMC model."
+  :: Cmd.Exit.info 5
+       ~doc:
+         "$(b,--race-check) or $(b,--model-check) was inconclusive: the \
+          trace rings dropped events (raise $(b,--trace-capacity))."
   :: Cmd.Exit.defaults
 
 let cmd =

@@ -1,8 +1,7 @@
-(* pmc_trace — the tracing subsystem's own CLI.
+(* pmc_trace — the tracing subsystem's own CLI.  Tracing, race-checking
+   and model-replaying an app run is pmc_demo's job (--trace,
+   --race-check, --model-check); this tool holds the rest.
 
-     pmc_trace run --app raytrace --backend swcc -o out.json --race-check
-         run an app with tracing, export Perfetto JSON, race-check and
-         model-replay the observed execution;
      pmc_trace race-demo
          the seeded-race demonstration: the Fig. 6 flag/data program with
          its annotations stripped, caught by the dynamic detector with
@@ -28,72 +27,6 @@ let parse_app s =
       Fmt.epr "unknown app %S; one of: %s@." s
         (String.concat ", " Pmc_apps.Registry.names);
       exit 1
-
-let record ~app ~backend ~cores ~scale ~capacity =
-  let cfg = { Config.default with cores } in
-  let recorder = ref None in
-  let r =
-    Pmc_apps.Runner.run ~cfg
-      ~on_api:(fun api ->
-        recorder := Some (Pmc_trace.Recorder.attach ?capacity api))
-      app ~backend ~scale
-  in
-  (r, Option.get !recorder)
-
-(* ---------------- run ---------------- *)
-
-let run_cmd app backend cores scale out race_check model_check capacity =
-  let app = parse_app app and backend = parse_backend backend in
-  let r, rec_ = record ~app ~backend ~cores ~scale ~capacity in
-  Fmt.pr "%a" Pmc_apps.Runner.pp_result r;
-  let events = Pmc_trace.Recorder.events rec_ in
-  let dropped = Pmc_trace.Recorder.dropped_total rec_ in
-  Fmt.pr "recorded %d events across %d cores%s@." (List.length events)
-    (Pmc_trace.Recorder.cores rec_)
-    (if dropped = 0 then ""
-     else Printf.sprintf " (%d dropped — raise --capacity)" dropped);
-  (match out with
-  | None -> ()
-  | Some path ->
-      let stats =
-        Machine.stats (Pmc.Api.machine (Pmc_trace.Recorder.api rec_))
-      in
-      (try
-         Pmc_trace.Export.write_file ~stats ~path events;
-         Fmt.pr "wrote %s (open in ui.perfetto.dev)@." path
-       with Sys_error msg -> Fmt.epr "cannot write %s: %s@." path msg; exit 2));
-  let rc = ref 0 in
-  if race_check then begin
-    match Pmc_trace.Racecheck.check ~cores events with
-    | [] -> Fmt.pr "race check: no data races detected@."
-    | races ->
-        Fmt.pr "race check: %d distinct data race(s):@." (List.length races);
-        List.iter (fun r -> Fmt.pr "  %a@." Pmc_trace.Racecheck.pp_race r)
-          races;
-        rc := 3
-  end;
-  if model_check then begin
-    let l = Pmc_trace.Replay.lower events in
-    let report =
-      Pmc_model.History.check ~init:l.Pmc_trace.Replay.init ~procs:cores
-        ~locs:(max 1 l.Pmc_trace.Replay.locs) l.Pmc_trace.Replay.events
-    in
-    Fmt.pr "model replay: %d history events over %d locations%s@."
-      (List.length l.Pmc_trace.Replay.events)
-      l.Pmc_trace.Replay.locs
-      (if dropped > 0 then " (TRACE INCOMPLETE — verdict unreliable)" else "");
-    if Pmc_model.History.ok report then
-      Fmt.pr "model replay: run is PMC-consistent (History.check ok)@."
-    else begin
-      Fmt.pr "model replay: %d violation(s):@."
-        (List.length report.Pmc_model.History.violations);
-      List.iter
-        (fun v -> Fmt.pr "  %a@." Pmc_model.History.pp_violation v)
-        report.Pmc_model.History.violations;
-      rc := 4
-    end
-  end;
-  exit !rc
 
 (* ---------------- race-demo ---------------- *)
 
@@ -155,7 +88,10 @@ let race_demo () =
 
 let dump_cmd app backend cores scale capacity limit =
   let app = parse_app app and backend = parse_backend backend in
-  let _, rec_ = record ~app ~backend ~cores ~scale ~capacity in
+  let cfg = { Config.default with cores } in
+  let _, rec_ =
+    Pmc_apps.Runner.run_traced ?capacity ~cfg app ~backend ~scale
+  in
   let events = Pmc_trace.Recorder.events rec_ in
   let n = List.length events in
   List.iteri
@@ -185,27 +121,8 @@ let capacity_t =
     & info [ "capacity" ] ~docv:"N"
         ~doc:"Per-core trace ring capacity (default 65536).")
 
-let out_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write Chrome trace JSON.")
-
-let race_check_t =
-  Arg.(value & flag & info [ "race-check" ] ~doc:"Run the race detector.")
-
-let model_check_t =
-  Arg.(
-    value & flag
-    & info [ "model-check" ] ~doc:"Replay through the PMC model checker.")
-
 let limit_t =
   Arg.(value & opt int 200 & info [ "limit"; "n" ] ~doc:"Max events to print.")
-
-let run_c =
-  Cmd.v (Cmd.info "run" ~doc:"Trace an app × back-end run")
-    Term.(
-      const run_cmd $ app_t $ backend_t $ cores_t $ scale_t $ out_t
-      $ race_check_t $ model_check_t $ capacity_t)
 
 let race_demo_c =
   Cmd.v
@@ -223,8 +140,8 @@ let cmd =
   Cmd.group
     (Cmd.info "pmc_trace"
        ~doc:
-         "Runtime tracing, dynamic race detection and model-replay \
-          validation for PMC runs")
-    [ run_c; race_demo_c; dump_c ]
+         "Seeded race-detector demonstration and raw event timelines of \
+          PMC runs")
+    [ race_demo_c; dump_c ]
 
 let () = exit (Cmd.eval cmd)

@@ -44,62 +44,9 @@ let acceptable = function
   | Completed | Typed_error _ -> true
   | Wrong_result _ | Inconsistent _ -> false
 
-let copy_counts (c : Fault.counts) : Fault.counts =
-  {
-    Fault.noc_drops = c.Fault.noc_drops;
-    noc_corrupts = c.Fault.noc_corrupts;
-    noc_delays = c.Fault.noc_delays;
-    noc_retries = c.Fault.noc_retries;
-    links_dead = c.Fault.links_dead;
-    relay_deliveries = c.Fault.relay_deliveries;
-    sdram_retries = c.Fault.sdram_retries;
-    tile_stalls = c.Fault.tile_stalls;
-    stall_cycles = c.Fault.stall_cycles;
-    lock_timeouts = c.Fault.lock_timeouts;
-    noc_draws = c.Fault.noc_draws;
-    sdram_draws = c.Fault.sdram_draws;
-    stall_draws = c.Fault.stall_draws;
-    power_cut_draws = c.Fault.power_cut_draws;
-    power_cuts = c.Fault.power_cuts;
-  }
-
-let zero_counts () : Fault.counts =
-  {
-    Fault.noc_drops = 0; noc_corrupts = 0; noc_delays = 0; noc_retries = 0;
-    links_dead = 0; relay_deliveries = 0; sdram_retries = 0; tile_stalls = 0;
-    stall_cycles = 0; lock_timeouts = 0; noc_draws = 0; sdram_draws = 0;
-    stall_draws = 0; power_cut_draws = 0; power_cuts = 0;
-  }
-
 let total_injected (c : Fault.counts) =
   c.Fault.noc_drops + c.Fault.noc_corrupts + c.Fault.noc_delays
   + c.Fault.sdram_retries + c.Fault.tile_stalls + c.Fault.power_cuts
-
-(* Accumulate one run's counters into a per-tag aggregate (the soak
-   summary's denominator/numerator pairs). *)
-let add_counts (acc : Fault.counts) (c : Fault.counts) =
-  acc.Fault.noc_drops <- acc.Fault.noc_drops + c.Fault.noc_drops;
-  acc.Fault.noc_corrupts <- acc.Fault.noc_corrupts + c.Fault.noc_corrupts;
-  acc.Fault.noc_delays <- acc.Fault.noc_delays + c.Fault.noc_delays;
-  acc.Fault.noc_retries <- acc.Fault.noc_retries + c.Fault.noc_retries;
-  acc.Fault.links_dead <- acc.Fault.links_dead + c.Fault.links_dead;
-  acc.Fault.relay_deliveries <-
-    acc.Fault.relay_deliveries + c.Fault.relay_deliveries;
-  acc.Fault.sdram_retries <- acc.Fault.sdram_retries + c.Fault.sdram_retries;
-  acc.Fault.tile_stalls <- acc.Fault.tile_stalls + c.Fault.tile_stalls;
-  acc.Fault.stall_cycles <- acc.Fault.stall_cycles + c.Fault.stall_cycles;
-  acc.Fault.lock_timeouts <- acc.Fault.lock_timeouts + c.Fault.lock_timeouts;
-  acc.Fault.noc_draws <- acc.Fault.noc_draws + c.Fault.noc_draws;
-  acc.Fault.sdram_draws <- acc.Fault.sdram_draws + c.Fault.sdram_draws;
-  acc.Fault.stall_draws <- acc.Fault.stall_draws + c.Fault.stall_draws;
-  acc.Fault.power_cut_draws <-
-    acc.Fault.power_cut_draws + c.Fault.power_cut_draws;
-  acc.Fault.power_cuts <- acc.Fault.power_cuts + c.Fault.power_cuts
-
-let total_counts (counts : Fault.counts list) : Fault.counts =
-  let acc = zero_counts () in
-  List.iter (add_counts acc) counts;
-  acc
 
 (* Above this many captured events a replay is skipped (reported as
    [replayed = false]) and the run is judged on its checksum alone.
@@ -110,7 +57,7 @@ let total_counts (counts : Fault.counts list) : Fault.counts =
 let default_replay_budget = 100_000
 
 let run_one ?(intensity = 1.0) ?(model_check = true)
-    ?(replay_budget = default_replay_budget) ?capacity ?max_cycles
+    ?(replay_budget = default_replay_budget) ?max_cycles
     ?(topology = Topology.Star) (a : Runner.app) ~backend ~cores ~scale
     ~seed : report =
   let cfg =
@@ -122,79 +69,47 @@ let run_one ?(intensity = 1.0) ?(model_check = true)
     | None -> cfg
     | Some m -> { cfg with Config.max_cycles = min m cfg.Config.max_cycles }
   in
-  let recorder = ref None in
-  let machine = ref None in
-  let on_api api =
-    machine := Some (Pmc.Api.machine api);
-    recorder := Some (Pmc_trace.Recorder.attach ?capacity api)
-  in
+  let outcome, rec_ = Runner.run_traced ~cfg a ~backend ~scale in
+  let dropped = Pmc_trace.Recorder.dropped_total rec_ in
   let finish verdict ~replayed =
-    let wall =
-      match !machine with
-      | Some m -> Engine.wall_time (Machine.engine m)
-      | None -> 0
-    in
-    let faults =
-      match !machine with
-      | Some m -> copy_counts (Fault.counts (Machine.fault m))
-      | None -> zero_counts ()
-    in
-    let events, dropped =
-      match !recorder with
-      | Some r ->
-          (Pmc_trace.Recorder.recorded r, Pmc_trace.Recorder.dropped_total r)
-      | None -> (0, 0)
-    in
+    let m = Pmc.Api.machine (Pmc_trace.Recorder.api rec_) in
     {
       app = a.Runner.name; backend; cores; scale; seed; intensity; verdict;
-      wall; faults; events; dropped; replayed;
+      wall = Engine.wall_time (Machine.engine m);
+      faults =
+        (* a snapshot, not an alias of the machine's live counters *)
+        (let c = Fault.counts (Machine.fault m) in
+         { c with Fault.noc_drops = c.Fault.noc_drops });
+      events = Pmc_trace.Recorder.recorded rec_;
+      dropped; replayed;
     }
   in
-  match Runner.run ~cfg ~on_api a ~backend ~scale with
-  | r ->
-      if not (Runner.ok r) then
-        finish
-          (Wrong_result
-             {
-               checksum = r.Runner.checksum;
-               reference = r.Runner.reference;
-             })
-          ~replayed:false
-      else begin
-        let rec_ = Option.get !recorder in
-        let dropped = Pmc_trace.Recorder.dropped_total rec_ in
-        (* replay only complete traces: a ring overflow loses acquire or
-           init events and would produce spurious verdicts *)
-        if
-          model_check && dropped = 0
-          && Pmc_trace.Recorder.recorded rec_ <= replay_budget
-        then begin
-          let events = Pmc_trace.Recorder.events rec_ in
-          let rep = Pmc_trace.Replay.check ~cores events in
-          if Pmc_model.History.ok rep then finish Completed ~replayed:true
-          else
-            finish
-              (Inconsistent (List.length rep.Pmc_model.History.violations))
-              ~replayed:true
-        end
-        else finish Completed ~replayed:false
-      end
-  | exception Pmc_error.Error c ->
-      finish (Typed_error (Pmc_error.to_string c)) ~replayed:false
-  | exception Engine.Watchdog n ->
-      finish (Typed_error (Printf.sprintf "watchdog: no progress by cycle %d" n))
-        ~replayed:false
-  | exception Engine.Deadlock msg ->
-      finish (Typed_error ("deadlock: " ^ msg)) ~replayed:false
-  | exception Engine.Power_cut cycle ->
+  match outcome with
+  | Error stop ->
       (* a soak config that also arms the power-cut tag loses the run at
          the cut; the crash checker ([Crash]) is the harness that judges
          what the cut left behind *)
+      finish (Typed_error (Runner.stop_to_string stop)) ~replayed:false
+  | Ok r when not (Runner.ok r) ->
       finish
-        (Typed_error (Printf.sprintf "power cut at cycle %d" cycle))
+        (Wrong_result
+           { checksum = r.Runner.checksum; reference = r.Runner.reference })
         ~replayed:false
+  | Ok _ when not model_check -> finish Completed ~replayed:false
+  | Ok _ -> (
+      match
+        Pmc_trace.Replay.verdict ~budget:replay_budget Pmc_trace.Replay.Model
+          ~cores ~dropped
+          (Pmc_trace.Recorder.events rec_)
+      with
+      | Pmc_trace.Replay.Consistent -> finish Completed ~replayed:true
+      | Pmc_trace.Replay.Violations vs ->
+          finish (Inconsistent (List.length vs)) ~replayed:true
+      | Pmc_trace.Replay.Inconclusive _ ->
+          (* judged on its checksum alone; counted as unchecked *)
+          finish Completed ~replayed:false)
 
-(* ---------------- the soak loop ---------------- *)
+(* ---------------- soak summaries ---------------- *)
 
 type soak = {
   reports : report list;  (* in run order *)
@@ -203,11 +118,10 @@ type soak = {
   typed_errors : int;
   failed : int;           (* wrong results + inconsistent replays *)
   injected : int;         (* faults injected across all runs *)
+  unchecked : int;        (* completed runs the model replay did not judge *)
 }
 
-(* The verdict totals of a report list — shared by [soak] and by
-   [Pmc_jobs]' job-level soak reconstruction, so both summarize runs
-   identically. *)
+(* The verdict totals of a report list. *)
 let summarize (reports : report list) : soak =
   let count p = List.length (List.filter p reports) in
   {
@@ -219,46 +133,8 @@ let summarize (reports : report list) : soak =
     failed = count (fun r -> not (acceptable r.verdict));
     injected =
       List.fold_left (fun acc r -> acc + total_injected r.faults) 0 reports;
+    unchecked = count (fun r -> r.verdict = Completed && not r.replayed);
   }
-
-let soak ?(intensity = 1.0) ?(model_check = true) ?replay_budget ?capacity
-    ?progress ?pool ?topology ~apps ~backend ~cores ~scale ~seeds () : soak =
-  let one (a : Runner.app) seed =
-    run_one ?capacity ?replay_budget ?topology ~intensity ~model_check a
-      ~backend ~cores ~scale ~seed
-  in
-  let reports =
-    match pool with
-    | Some pool when Pmc_par.Pool.jobs pool > 1 ->
-        (* Each (app, seed) run is a fresh machine with a deterministic
-           fault schedule, so the wall fans out over the pool.  Verdict
-           order — and therefore the printed soak — is the sequential
-           order; progress fires once the whole wall has drained, since
-           the workers must not interleave writes to the caller's
-           formatter. *)
-        let wall =
-          List.concat_map
-            (fun (a : Runner.app) -> List.map (fun seed -> (a, seed)) seeds)
-            apps
-        in
-        let reports =
-          Pmc_par.Pool.map_list_ordered pool wall ~f:(fun (a, seed) ->
-              one a seed)
-        in
-        List.iter (fun r -> Option.iter (fun f -> f r) progress) reports;
-        reports
-    | _ ->
-        List.concat_map
-          (fun (a : Runner.app) ->
-            List.map
-              (fun seed ->
-                let r = one a seed in
-                Option.iter (fun f -> f r) progress;
-                r)
-              seeds)
-          apps
-  in
-  summarize reports
 
 let ok s = s.failed = 0
 
@@ -295,12 +171,6 @@ let zero_cost_identity (a : Runner.app) ~backend ~cores ~scale ~seed :
 
 (* ---------------- printing ---------------- *)
 
-let verdict_name = function
-  | Completed -> "completed"
-  | Typed_error _ -> "typed-error"
-  | Wrong_result _ -> "WRONG-RESULT"
-  | Inconsistent _ -> "INCONSISTENT"
-
 let pp_verdict ppf = function
   | Completed -> Fmt.pf ppf "completed"
   | Typed_error msg -> Fmt.pf ppf "typed error: %s" msg
@@ -324,8 +194,9 @@ let pp_report ppf (r : report) =
 
 let pp_soak ppf (s : soak) =
   Fmt.pf ppf
-    "%d runs: %d completed, %d typed errors, %d failures; %d faults injected"
-    s.total s.completed s.typed_errors s.failed s.injected
+    "%d runs: %d completed, %d typed errors, %d failures; %d faults \
+     injected; %d completed runs not model-checked"
+    s.total s.completed s.typed_errors s.failed s.injected s.unchecked
 
 (* Per-tag injection summary: how often each fault tag consulted the
    hash stream (draws) and how often it fired (hits) — the at-a-glance
@@ -342,4 +213,21 @@ let pp_tag_summary ppf (c : Fault.counts) =
     c.Fault.power_cut_draws
 
 let soak_counts (s : soak) : Fault.counts =
-  total_counts (List.map (fun r -> r.faults) s.reports)
+  let sum f = List.fold_left (fun acc r -> acc + f r.faults) 0 s.reports in
+  {
+    Fault.noc_drops = sum (fun c -> c.Fault.noc_drops);
+    noc_corrupts = sum (fun c -> c.Fault.noc_corrupts);
+    noc_delays = sum (fun c -> c.Fault.noc_delays);
+    noc_retries = sum (fun c -> c.Fault.noc_retries);
+    links_dead = sum (fun c -> c.Fault.links_dead);
+    relay_deliveries = sum (fun c -> c.Fault.relay_deliveries);
+    sdram_retries = sum (fun c -> c.Fault.sdram_retries);
+    tile_stalls = sum (fun c -> c.Fault.tile_stalls);
+    stall_cycles = sum (fun c -> c.Fault.stall_cycles);
+    lock_timeouts = sum (fun c -> c.Fault.lock_timeouts);
+    noc_draws = sum (fun c -> c.Fault.noc_draws);
+    sdram_draws = sum (fun c -> c.Fault.sdram_draws);
+    stall_draws = sum (fun c -> c.Fault.stall_draws);
+    power_cut_draws = sum (fun c -> c.Fault.power_cut_draws);
+    power_cuts = sum (fun c -> c.Fault.power_cuts);
+  }

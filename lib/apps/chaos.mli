@@ -46,12 +46,6 @@ val total_injected : Pmc_sim.Fault.counts -> int
     stalls, power cuts) — protocol reactions (retries, relays) not
     included. *)
 
-val add_counts : Pmc_sim.Fault.counts -> Pmc_sim.Fault.counts -> unit
-(** [add_counts acc c] accumulates [c] into [acc] field by field. *)
-
-val total_counts : Pmc_sim.Fault.counts list -> Pmc_sim.Fault.counts
-(** Fresh aggregate of a list of per-run counter snapshots. *)
-
 val default_replay_budget : int
 (** Captured-event count above which the model replay is skipped
     (currently 100000).  The incremental {!Pmc_model.History.check}
@@ -60,16 +54,17 @@ val default_replay_budget : int
 
 val run_one :
   ?intensity:float -> ?model_check:bool -> ?replay_budget:int ->
-  ?capacity:int -> ?max_cycles:int -> ?topology:Pmc_sim.Topology.t ->
+  ?max_cycles:int -> ?topology:Pmc_sim.Topology.t ->
   Runner.app -> backend:Pmc.Backends.kind -> cores:int -> scale:int ->
   seed:int -> report
-(** One traced run under [Config.chaos ~intensity ~seed].  The model
-    replay runs only when [model_check] (default [true]), the trace ring
-    never overflowed, and the trace holds at most [replay_budget] events
-    (default {!default_replay_budget}); [capacity] sizes the per-core
-    trace rings; [max_cycles] tightens the livelock watchdog to a
-    per-request cycle budget (a budget overrun surfaces as a
-    [Typed_error] watchdog verdict); [topology] (default
+(** One traced run ({!Runner.run_traced}) under
+    [Config.chaos ~intensity ~seed].  A completed run is judged by
+    {!Pmc_trace.Replay.verdict} when [model_check] (default [true]);
+    an inconclusive trace — ring overflow, or more than [replay_budget]
+    events (default {!default_replay_budget}) — leaves it [Completed]
+    with [replayed = false].  [max_cycles] tightens the livelock
+    watchdog to a per-request cycle budget (a budget overrun surfaces as
+    a [Typed_error] watchdog verdict); [topology] (default
     {!Pmc_sim.Topology.Star}) selects the fabric — on routed fabrics the
     plane draws one outcome per physical link of each route (by-hop
     fault addressing, {!Pmc_sim.Fault.route_outcome}). *)
@@ -81,29 +76,16 @@ type soak = {
   typed_errors : int;
   failed : int;           (** wrong results + inconsistent replays *)
   injected : int;         (** faults injected across all runs *)
+  unchecked : int;
+      (** completed runs whose trace the model replay did not judge *)
 }
-
-val soak :
-  ?intensity:float -> ?model_check:bool -> ?replay_budget:int ->
-  ?capacity:int -> ?progress:(report -> unit) -> ?pool:Pmc_par.Pool.t ->
-  ?topology:Pmc_sim.Topology.t ->
-  apps:Runner.app list -> backend:Pmc.Backends.kind -> cores:int ->
-  scale:int -> seeds:int list -> unit -> soak
-(** The wall of seeds: every app × every seed.  With a [pool] wider than
-    one domain the wall fans out in parallel; every verdict, the report
-    order and the counters are identical to the sequential soak (each
-    run is an independent deterministic universe), and [progress] is
-    then called in report order after the wall drains instead of live.
-    Without a pool (or at width 1) [progress] fires after each run, as
-    before. *)
 
 val ok : soak -> bool
 (** No unacceptable verdicts. *)
 
 val summarize : report list -> soak
-(** The verdict totals of a report list — what {!soak} computes after
-    its wall drains.  Exposed so job-oriented callers ({!Pmc_jobs}) that
-    run reports one at a time summarize identically. *)
+(** Verdict totals of a report list.  A soak is a batch of [Pmc_jobs]
+    chaos jobs ([Pmc_jobs.Run.chaos_wall]). *)
 
 type identity = { identical : bool; detail : string }
 
@@ -118,7 +100,6 @@ val zero_cost_identity :
 val soak_counts : soak -> Pmc_sim.Fault.counts
 (** Aggregate fault counters across every report of the soak. *)
 
-val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_counts : Format.formatter -> Pmc_sim.Fault.counts -> unit
 

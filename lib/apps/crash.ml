@@ -321,45 +321,29 @@ let durable_prefix (states : obj_state array) (trace : Event.t list) :
 
 (* ---------------- one experiment ---------------- *)
 
-let crash_one ?(log = true) ?window ?capacity
-    ?(replay_budget = default_replay_budget) ?(model_check = true)
-    ?(topology = Topology.Star) (a : Runner.app) ~backend ~cores ~scale
-    ~seed : report =
-  let base_cfg =
-    { Config.default with cores; topology; farmem_log = log }
-  in
-  (* the cut window defaults to the run's own wall clock, learned from a
-     fault-free twin — the crash config leaves the access-plane fault
-     path disarmed, so the pre-cut timeline is the fault-free timeline *)
-  let window =
-    match window with
-    | Some w -> max 1 w
-    | None ->
-        let r = Runner.run ~cfg:base_cfg a ~backend ~scale in
-        max 1 r.Runner.wall
-  in
-  let cfg = Config.crash ~seed ~window base_cfg in
-  let recorder = ref None in
-  let machine = ref None in
-  let on_api api =
-    machine := Some (Pmc.Api.machine api);
-    recorder := Some (Pmc_trace.Recorder.attach ?capacity api)
-  in
+let base_cfg ~log ~topology ~cores =
+  { Config.default with cores; topology; farmem_log = log }
+
+(* The cut window is the run's own wall clock, learned from a fault-free
+   twin — the crash config leaves the access-plane fault path disarmed,
+   so the pre-cut timeline is the fault-free timeline. *)
+let window ~log ~topology (a : Runner.app) ~backend ~cores ~scale =
+  let r = Runner.run ~cfg:(base_cfg ~log ~topology ~cores) a ~backend ~scale in
+  max 1 r.Runner.wall
+
+let crash_one ?(log = true) ~window ?(replay_budget = default_replay_budget)
+    ?(model_check = true) ?(topology = Topology.Star) (a : Runner.app)
+    ~backend ~cores ~scale ~seed : report =
+  let window = max 1 window in
+  let cfg = Config.crash ~seed ~window (base_cfg ~log ~topology ~cores) in
+  let outcome, rec_ = Runner.run_traced ~cfg a ~backend ~scale in
+  let machine = Pmc.Api.machine (Pmc_trace.Recorder.api rec_) in
   let mk_report ~cut ~verdict ~objects ~recovery ~replayed =
-    let wall =
-      match !machine with
-      | Some m -> Engine.wall_time (Machine.engine m)
-      | None -> 0
-    in
-    let events, dropped =
-      match !recorder with
-      | Some r ->
-          (Pmc_trace.Recorder.recorded r, Pmc_trace.Recorder.dropped_total r)
-      | None -> (0, 0)
-    in
     {
       app = a.Runner.name; backend; cores; scale; seed; window; cut; log;
-      verdict; wall; objects; recovery; events; dropped; replayed;
+      verdict; wall = Engine.wall_time (Machine.engine machine); objects;
+      recovery; events = Pmc_trace.Recorder.recorded rec_;
+      dropped = Pmc_trace.Recorder.dropped_total rec_; replayed;
     }
   in
   let fail msg =
@@ -367,26 +351,22 @@ let crash_one ?(log = true) ?window ?capacity
       ~replayed:false
   in
   let run_outcome =
-    match Runner.run ~cfg ~on_api a ~backend ~scale with
-    | r -> Ok (`Completed r)
-    | exception Engine.Power_cut cycle -> Ok (`Cut cycle)
-    | exception Pmc_error.Error c ->
+    match outcome with
+    | Ok _ -> Ok None
+    | Error (Runner.Power_cut cycle) -> Ok (Some cycle)
+    | Error (Runner.Typed c) ->
         Error (Printf.sprintf "typed error: %s" (Pmc_error.to_string c))
-    | exception Engine.Watchdog n ->
-        Error (Printf.sprintf "watchdog: no progress by cycle %d" n)
-    | exception Engine.Deadlock msg -> Error ("deadlock: " ^ msg)
+    | Error stop -> Error (Runner.stop_to_string stop)
   in
   match run_outcome with
   | Error msg -> fail msg
-  | Ok outcome -> (
-      let cut = match outcome with `Cut c -> Some c | `Completed _ -> None in
-      match Option.bind !machine Machine.farmem_opt with
+  | Ok cut -> (
+      match Machine.farmem_opt machine with
       | None ->
           fail
             (Printf.sprintf "backend %s has no far-memory tier"
                (Pmc.Backends.to_string backend))
       | Some crashed_dev ->
-          let rec_ = Option.get !recorder in
           if Pmc_trace.Recorder.dropped_total rec_ > 0 then
             fail "trace ring overflow: prefix reconstruction unsound"
           else begin
@@ -479,36 +459,30 @@ let crash_one ?(log = true) ?window ?capacity
                 else begin
                   (* 5: the durable prefix must be PMC-consistent *)
                   let prefix = durable_prefix states trace in
-                  if
-                    model_check
-                    && List.length prefix <= replay_budget
-                  then begin
-                    let rep = Pmc_trace.Replay.check ~cores prefix in
-                    if Pmc_model.History.ok rep then
-                      mk_report ~cut
-                        ~verdict:
-                          (match cut with
-                          | None -> Completed
-                          | Some _ -> Recovered)
-                        ~objects ~recovery:(Some recovery) ~replayed:true
-                    else
-                      mk_report ~cut
-                        ~verdict:
-                          (Prefix_inconsistent
-                             (List.length rep.Pmc_model.History.violations))
-                        ~objects ~recovery:(Some recovery) ~replayed:true
-                  end
+                  let clean =
+                    match cut with None -> Completed | Some _ -> Recovered
+                  in
+                  let report verdict ~replayed =
+                    mk_report ~cut ~verdict ~objects ~recovery:(Some recovery)
+                      ~replayed
+                  in
+                  if not model_check then report clean ~replayed:false
                   else
-                    mk_report ~cut
-                      ~verdict:
-                        (match cut with
-                        | None -> Completed
-                        | Some _ -> Recovered)
-                      ~objects ~recovery:(Some recovery) ~replayed:false
+                    match
+                      Pmc_trace.Replay.verdict ~budget:replay_budget
+                        Pmc_trace.Replay.Model ~cores ~dropped:0 prefix
+                    with
+                    | Pmc_trace.Replay.Consistent ->
+                        report clean ~replayed:true
+                    | Pmc_trace.Replay.Violations vs ->
+                        report (Prefix_inconsistent (List.length vs))
+                          ~replayed:true
+                    | Pmc_trace.Replay.Inconclusive _ ->
+                        report clean ~replayed:false
                 end
           end)
 
-(* ---------------- the seed sweep ---------------- *)
+(* ---------------- sweep summaries ---------------- *)
 
 type sweep = {
   reports : report list;  (* in run order *)
@@ -519,6 +493,7 @@ type sweep = {
   torn : int;
   inconsistent : int;
   errors : int;
+  unchecked : int;        (* passing experiments left unreplayed *)
 }
 
 let summarize (reports : report list) : sweep =
@@ -536,69 +511,12 @@ let summarize (reports : report list) : sweep =
     errors =
       count (fun r ->
           match r.verdict with Check_error _ -> true | _ -> false);
+    unchecked = count (fun r -> acceptable r.verdict && not r.replayed);
   }
 
 let ok s = s.torn = 0 && s.inconsistent = 0 && s.errors = 0
 
-let sweep ?log ?capacity ?replay_budget ?model_check ?topology ?progress
-    ?pool ~apps ~backend ~cores ~scale ~seeds () : sweep =
-  (* the cut window is learned once per app from its fault-free twin, so
-     every seed of an app shares one deterministic window — which also
-     keeps the window inside job keys stable *)
-  let windows =
-    List.map
-      (fun (a : Runner.app) ->
-        let base_cfg =
-          {
-            Config.default with
-            cores;
-            topology = Option.value ~default:Topology.Star topology;
-            farmem_log = Option.value ~default:true log;
-          }
-        in
-        let r = Runner.run ~cfg:base_cfg a ~backend ~scale in
-        (a, max 1 r.Runner.wall))
-      apps
-  in
-  let one (a : Runner.app) ~window seed =
-    crash_one ?log ~window ?capacity ?replay_budget ?model_check ?topology a
-      ~backend ~cores ~scale ~seed
-  in
-  let reports =
-    match pool with
-    | Some pool when Pmc_par.Pool.jobs pool > 1 ->
-        let wall =
-          List.concat_map
-            (fun (a, window) -> List.map (fun seed -> (a, window, seed)) seeds)
-            windows
-        in
-        let reports =
-          Pmc_par.Pool.map_list_ordered pool wall
-            ~f:(fun (a, window, seed) -> one a ~window seed)
-        in
-        List.iter (fun r -> Option.iter (fun f -> f r) progress) reports;
-        reports
-    | _ ->
-        List.concat_map
-          (fun (a, window) ->
-            List.map
-              (fun seed ->
-                let r = one a ~window seed in
-                Option.iter (fun f -> f r) progress;
-                r)
-              seeds)
-          windows
-  in
-  summarize reports
-
 (* ---------------- printing ---------------- *)
-
-let verdict_name = function
-  | Completed -> "completed"
-  | Recovered -> "recovered"
-  | Torn _ -> "TORN"
-  | Prefix_inconsistent _ -> "INCONSISTENT"
-  | Check_error _ -> "ERROR"
 
 let pp_verdict ppf = function
   | Completed -> Fmt.pf ppf "completed (cut past wall)"
@@ -622,5 +540,6 @@ let pp_report ppf (r : report) =
 let pp_sweep ppf (s : sweep) =
   Fmt.pf ppf
     "%d experiments: %d cuts injected, %d recovered, %d completed, %d torn, \
-     %d inconsistent, %d errors"
+     %d inconsistent, %d errors; %d passing experiments not model-checked"
     s.total s.cuts s.recovered s.completed s.torn s.inconsistent s.errors
+    s.unchecked

@@ -65,16 +65,26 @@ val default_replay_budget : int
     wide enough that a durable-prefix replay is effectively never
     skipped at crash-experiment geometry. *)
 
+val window :
+  log:bool -> topology:Pmc_sim.Topology.t -> Runner.app ->
+  backend:Pmc.Backends.kind -> cores:int -> scale:int -> int
+(** The cut window of an experiment geometry: the wall clock of a
+    fault-free twin run (at least 1).  The crash config leaves the
+    access-plane fault path disarmed, so the pre-cut timeline is exactly
+    the fault-free timeline and a cut drawn from this window lands
+    inside the run.  Every seed of an app shares it. *)
+
 val crash_one :
-  ?log:bool -> ?window:int -> ?capacity:int -> ?replay_budget:int ->
-  ?model_check:bool -> ?topology:Pmc_sim.Topology.t -> Runner.app ->
-  backend:Pmc.Backends.kind -> cores:int -> scale:int -> seed:int -> report
-(** One crash experiment.  [log] (default [true]) arms the redo log —
-    [false] selects the deliberately tearable word-by-word publication
-    the checker must catch.  [window] bounds the cut cycle; when absent
-    it is learned from a fault-free twin run's wall clock (the crash
-    config leaves the access-plane fault path disarmed, so the pre-cut
-    timeline is exactly the fault-free timeline). *)
+  ?log:bool -> window:int -> ?replay_budget:int -> ?model_check:bool ->
+  ?topology:Pmc_sim.Topology.t -> Runner.app -> backend:Pmc.Backends.kind ->
+  cores:int -> scale:int -> seed:int -> report
+(** One crash experiment on a traced run ({!Runner.run_traced}).  [log]
+    (default [true]) arms the redo log — [false] selects the
+    deliberately tearable word-by-word publication the checker must
+    catch.  [window] bounds the cut cycle (see {!window}).  The durable
+    prefix is judged by {!Pmc_trace.Replay.verdict}; a prefix over
+    [replay_budget] events leaves a passing verdict with
+    [replayed = false]. *)
 
 type sweep = {
   reports : report list;  (** in run order *)
@@ -85,29 +95,17 @@ type sweep = {
   torn : int;
   inconsistent : int;
   errors : int;
+  unchecked : int;
+      (** passing experiments whose durable prefix was not replayed *)
 }
 
 val summarize : report list -> sweep
-(** Verdict totals of a report list — what {!sweep} computes after its
-    wall drains; exposed so job-oriented callers ({!Pmc_jobs}) summarize
-    identically. *)
+(** Verdict totals of a report list.  A sweep is a batch of
+    [Pmc_jobs] crash jobs ([Pmc_jobs.Run.crash_wall]). *)
 
 val ok : sweep -> bool
 (** No torn objects, no inconsistent prefixes, no experiment errors. *)
 
-val sweep :
-  ?log:bool -> ?capacity:int -> ?replay_budget:int -> ?model_check:bool ->
-  ?topology:Pmc_sim.Topology.t -> ?progress:(report -> unit) ->
-  ?pool:Pmc_par.Pool.t -> apps:Runner.app list ->
-  backend:Pmc.Backends.kind -> cores:int -> scale:int -> seeds:int list ->
-  unit -> sweep
-(** Every app × every seed.  The cut window is learned once per app from
-    its fault-free twin, so all seeds of an app share one deterministic
-    window.  With a [pool] wider than one domain the wall fans out in
-    parallel with verdicts in sequential order ([progress] then fires
-    after the wall drains), exactly like {!Chaos.soak}. *)
-
-val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit
 val pp_sweep : Format.formatter -> sweep -> unit

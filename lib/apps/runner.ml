@@ -35,12 +35,12 @@ type result = {
 
 let ok r = r.checksum = r.reference
 
-let run ?(cfg = Config.default) ?on_api (a : app) ~backend ~scale : result =
-  (* Each run is an independent universe: restart the domain-local
-     handle/lock id counters so ids — which appear in traces and replay
-     keys — are a pure function of (app, backend, cfg, scale), identical
-     whether the run executes alone, after other runs, or concurrently
-     with them on another domain of a [Pmc_par.Pool]. *)
+(* Each run is an independent universe: restart the domain-local
+   handle/lock id counters so ids — which appear in traces and replay
+   keys — are a pure function of (app, backend, cfg, scale), identical
+   whether the run executes alone, after other runs, or concurrently
+   with them on another domain of a [Pmc_par.Pool]. *)
+let instantiate ~cfg (a : app) ~backend =
   Pmc.Shared.reset_ids ();
   Pmc_lock.Dlock.reset_ids ();
   Service.reset ();
@@ -49,9 +49,10 @@ let run ?(cfg = Config.default) ?on_api (a : app) ~backend ~scale : result =
     Machine.set_code m ~core ~footprint:a.code_footprint
       ~jump_prob:a.jump_prob
   done;
-  let api = Pmc.Backends.create backend m in
-  (* let observers (e.g. a trace recorder) hook the api before any task runs *)
-  Option.iter (fun f -> f api) on_api;
+  Pmc.Backends.create backend m
+
+let execute ~cfg (a : app) api ~backend ~scale : result =
+  let m = Pmc.Api.machine api in
   let collect = a.setup api ~scale in
   Machine.run m;
   (* explicit bindings: the checksum collection must run before the
@@ -72,6 +73,49 @@ let run ?(cfg = Config.default) ?on_api (a : app) ~backend ~scale : result =
     reference =
       a.reference ~seed:cfg.Config.seed ~cores:cfg.Config.cores ~scale;
   }
+
+let run ?(cfg = Config.default) ?on_api (a : app) ~backend ~scale : result =
+  let api = instantiate ~cfg a ~backend in
+  (* let observers (e.g. a trace recorder) hook the api before any task runs *)
+  Option.iter (fun f -> f api) on_api;
+  execute ~cfg a api ~backend ~scale
+
+(* ---------------- traced runs ---------------- *)
+
+type stop =
+  | Typed of Pmc_error.context
+  | Watchdog of int
+  | Deadlock of string
+  | Power_cut of int
+
+type outcome = (result, stop) Stdlib.result
+
+let run_traced ?capacity ?(cfg = Config.default) (a : app) ~backend ~scale :
+    outcome * Pmc_trace.Recorder.t =
+  let api = instantiate ~cfg a ~backend in
+  let recorder = Pmc_trace.Recorder.attach ?capacity api in
+  let outcome =
+    match execute ~cfg a api ~backend ~scale with
+    | r -> Ok r
+    | exception Pmc_error.Error c -> Error (Typed c)
+    | exception Engine.Watchdog n -> Error (Watchdog n)
+    | exception Engine.Deadlock msg -> Error (Deadlock msg)
+    | exception Engine.Power_cut cycle -> Error (Power_cut cycle)
+  in
+  (outcome, recorder)
+
+let finished : outcome -> result = function
+  | Ok r -> r
+  | Error (Typed c) -> raise (Pmc_error.Error c)
+  | Error (Watchdog n) -> raise (Engine.Watchdog n)
+  | Error (Deadlock msg) -> raise (Engine.Deadlock msg)
+  | Error (Power_cut cycle) -> raise (Engine.Power_cut cycle)
+
+let stop_to_string = function
+  | Typed c -> Pmc_error.to_string c
+  | Watchdog n -> Printf.sprintf "watchdog: no progress by cycle %d" n
+  | Deadlock msg -> "deadlock: " ^ msg
+  | Power_cut cycle -> Printf.sprintf "power cut at cycle %d" cycle
 
 let pp_result ppf (r : result) =
   Fmt.pf ppf "%-12s %-7s cores=%-3d scale=%-5d wall=%-10d util=%5.1f%% %s@."

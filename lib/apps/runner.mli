@@ -39,6 +39,33 @@ val run :
     any task is spawned — the hook point for attaching observers such as
     a {!Pmc_trace.Recorder}. *)
 
+(** {1 Traced runs} *)
+
+type stop =
+  | Typed of Pmc_sim.Pmc_error.context  (** {!Pmc_sim.Pmc_error.Error} *)
+  | Watchdog of int      (** {!Pmc_sim.Engine.Watchdog}: livelock cycle *)
+  | Deadlock of string   (** {!Pmc_sim.Engine.Deadlock} *)
+  | Power_cut of int     (** {!Pmc_sim.Engine.Power_cut}: cut cycle *)
+(** Why a run ended before completing. *)
+
+type outcome = (result, stop) Stdlib.result
+
+val run_traced :
+  ?capacity:int -> ?cfg:Pmc_sim.Config.t -> app ->
+  backend:Pmc.Backends.kind -> scale:int -> outcome * Pmc_trace.Recorder.t
+(** {!run} with a {!Pmc_trace.Recorder} ([capacity] events per core)
+    attached before any task is spawned.  The recorder comes back
+    whether the run completed or stopped on a typed error, watchdog,
+    deadlock or power cut; the machine it observed is reachable through
+    {!Pmc_trace.Recorder.api}.  Judge its trace with
+    {!Pmc_trace.Replay.verdict}. *)
+
+val finished : outcome -> result
+(** The completed run; re-raises the exception that stopped it, so a
+    traced caller fails exactly as an untraced {!run} would. *)
+
+val stop_to_string : stop -> string
+
 val pp_result : Format.formatter -> result -> unit
 
 val mix64 : int64 -> int64

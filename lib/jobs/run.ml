@@ -288,3 +288,60 @@ let run_all ?budget ?pool (jobs : Job.t list) : Result.t list =
   match pool with
   | Some pool -> Pmc_par.Pool.map_list_ordered pool jobs ~f:(run ?budget)
   | None -> List.map (run ?budget) jobs
+
+(* ---------------- walls of seeds ---------------- *)
+
+(* Apps outer, seeds inner: the run order — and so the printed report
+   order — of every soak and sweep. *)
+let wall ~apps ~seeds job =
+  List.concat_map (fun app -> List.map (fun seed -> job app seed) seeds) apps
+
+let chaos_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~intensity
+    ~model_check ~replay_budget =
+  wall ~apps ~seeds (fun app seed ->
+      Job.Chaos
+        {
+          Job.c_app = app;
+          c_backend = backend;
+          c_topology = topology;
+          c_cores = cores;
+          c_scale = scale;
+          seed;
+          intensity;
+          model_check;
+          replay_budget;
+        })
+
+let crash_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~window ~log
+    ~model_check ~replay_budget =
+  (* the cut window is learned once per app, then travels inside each
+     job — the cut cycle is fixed by the job encoding alone, at any pool
+     width *)
+  let window_of app =
+    match window with
+    | Some w -> max 1 w
+    | None -> (
+        match
+          ( Pmc_apps.Registry.find app,
+            Pmc.Backends.of_string backend,
+            Pmc_sim.Topology.resolve topology ~cores )
+        with
+        | Some a, Some backend, Ok topology ->
+            Pmc_apps.Crash.window ~log ~topology a ~backend ~cores ~scale
+        | _ -> 1 (* unresolvable: the job itself reports the bad request *))
+  in
+  let windows = List.map (fun app -> (app, window_of app)) apps in
+  wall ~apps ~seeds (fun app seed ->
+      Job.Crash
+        {
+          Job.x_app = app;
+          x_backend = backend;
+          x_topology = topology;
+          x_cores = cores;
+          x_scale = scale;
+          x_seed = seed;
+          x_window = List.assoc app windows;
+          x_log = log;
+          x_model_check = model_check;
+          x_replay_budget = replay_budget;
+        })

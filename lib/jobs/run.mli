@@ -31,6 +31,29 @@ val run_all :
 (** Map {!run} over a batch, fanning out over [pool] when given;
     results come back in input order at any pool width. *)
 
+(** {1 Walls of seeds}
+
+    A soak or crash sweep is one job batch — every app × every seed,
+    apps outer — run through {!run_all} like any other batch, so its
+    verdicts are identical at any pool width and to the daemon's. *)
+
+val chaos_wall :
+  apps:string list -> backend:string -> topology:string -> cores:int ->
+  scale:int -> seeds:int list -> intensity:float -> model_check:bool ->
+  replay_budget:int option -> Job.t list
+(** One {!Job.Chaos} run per app × seed; summarize the reports with
+    {!Pmc_apps.Chaos.summarize}. *)
+
+val crash_wall :
+  apps:string list -> backend:string -> topology:string -> cores:int ->
+  scale:int -> seeds:int list -> window:int option -> log:bool ->
+  model_check:bool -> replay_budget:int option -> Job.t list
+(** One {!Job.Crash} experiment per app × seed.  Every seed of an app
+    shares one cut window: [window] when given, else the app's
+    {!Pmc_apps.Crash.window}, learned here once so that the job encoding
+    alone fixes the cut cycle.  Summarize with
+    {!Pmc_apps.Crash.summarize}. *)
+
 (** {1 Name resolution} — shared by the CLIs and the daemon *)
 
 val standard_programs : (string * Pmc_model.Lprog.t) list

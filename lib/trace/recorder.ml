@@ -175,7 +175,6 @@ let detach t =
   end
 
 let api t = t.api
-let cores t = Array.length t.rings
 let recorded t = Array.fold_left (fun acc r -> acc + r.len) 0 t.rings
 let dropped t ~core = t.rings.(core).dropped
 let dropped_total t = Array.fold_left (fun acc r -> acc + r.dropped) 0 t.rings

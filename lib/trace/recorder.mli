@@ -22,8 +22,6 @@ val detach : t -> unit
 val api : t -> Pmc.Api.t
 (** The runtime instance this recorder is attached to. *)
 
-val cores : t -> int
-
 val recorded : t -> int
 (** Events currently held across all rings. *)
 

@@ -22,10 +22,10 @@
      - byte accesses, lock, NoC, cache and task events are back-end
        mechanics below the model's vocabulary and are skipped.
 
-   [check] replays the lowered history through the Table-I transition and
-   reports every violation: a value some read returned that was not in
-   its readable set (Def. 12), non-monotonic reads, broken mutual
-   exclusion, cyclic ≺. *)
+   [verdict Model] replays the lowered history through the Table-I
+   transition and reports every violation: a value some read returned
+   that was not in its readable set (Def. 12), non-monotonic reads,
+   broken mutual exclusion, cyclic ≺. *)
 
 open Pmc_model
 
@@ -93,8 +93,49 @@ let lower (trace : Event.t list) : lowering =
   let init loc = Option.value ~default:0 (Hashtbl.find_opt inits loc) in
   { events = List.rev !out; locs = !next_loc; init; skipped = !skipped }
 
-let check ?require_locked_writes ~cores (trace : Event.t list) :
-    History.report =
-  let l = lower trace in
-  History.check ?require_locked_writes ~init:l.init ~procs:cores
-    ~locs:(max 1 l.locs) l.events
+(* ---------------- the verdict rule ---------------- *)
+
+(* Every check of a recorded run goes through [verdict], so one rule
+   decides when a trace may be judged at all: a ring overflow loses
+   acquire, init or access events, and any race or violation found in
+   what survived could be an artifact of the loss — such a trace is
+   inconclusive, never guilty. *)
+
+type _ check =
+  | Model : History.violation check
+  | Races : Racecheck.race check
+
+type inconclusive =
+  | Dropped of int
+  | Over_budget of { events : int; budget : int }
+
+type 'a verdict =
+  | Consistent
+  | Violations of 'a list
+  | Inconclusive of inconclusive
+
+let verdict (type a) ?budget (check : a check) ~cores ~dropped
+    (trace : Event.t list) : a verdict =
+  if dropped > 0 then Inconclusive (Dropped dropped)
+  else
+    match budget with
+    | Some budget when List.compare_length_with trace budget > 0 ->
+        Inconclusive (Over_budget { events = List.length trace; budget })
+    | _ -> (
+        let found : a list =
+          match check with
+          | Model ->
+              let l = lower trace in
+              let report =
+                History.check ~init:l.init ~procs:cores ~locs:(max 1 l.locs)
+                  l.events
+              in
+              report.History.violations
+          | Races -> Racecheck.check ~cores trace
+        in
+        match found with [] -> Consistent | l -> Violations l)
+
+let pp_inconclusive ppf = function
+  | Dropped n -> Fmt.pf ppf "%d events dropped" n
+  | Over_budget { events; budget } ->
+      Fmt.pf ppf "%d events exceed the replay budget of %d" events budget

@@ -1,10 +1,13 @@
-(** Lowering of captured traces into the formal model's history language.
+(** Lowering of captured traces into the formal model's history language,
+    and the one rule that turns a recorded trace into a verdict.
 
-    [check] replays an observed run through {!Pmc_model.History.check}
-    (the Table-I transition plus the Def. 11/12 read-value semantics), so
-    every back-end execution can be mechanically validated
-    PMC-consistent — whatever its caches, NoC and locks did, the values
-    the program observed must be explainable by the model. *)
+    [verdict Model] replays an observed run through
+    {!Pmc_model.History.check} (the Table-I transition plus the Def. 11/12
+    read-value semantics), so every back-end execution can be
+    mechanically validated PMC-consistent — whatever its caches, NoC and
+    locks did, the values the program observed must be explainable by
+    the model.  [verdict Races] runs the {!Racecheck} detector.  Neither
+    judges a lossy trace. *)
 
 type lowering = {
   events : Pmc_model.History.event list;
@@ -20,6 +23,29 @@ val lower : Event.t list -> lowering
     and back-end mechanics (lock, NoC, cache, task events) are skipped
     and counted. *)
 
-val check :
-  ?require_locked_writes:bool -> cores:int -> Event.t list ->
-  Pmc_model.History.report
+(** {1 Verdicts} *)
+
+type _ check =
+  | Model : Pmc_model.History.violation check
+      (** {!lower}, then replay through {!Pmc_model.History.check} *)
+  | Races : Racecheck.race check  (** dynamic race detection *)
+
+type inconclusive =
+  | Dropped of int  (** events the trace rings overwrote *)
+  | Over_budget of { events : int; budget : int }
+      (** the trace holds more events than the caller's budget *)
+
+type 'a verdict =
+  | Consistent
+  | Violations of 'a list  (** model violations, or races *)
+  | Inconclusive of inconclusive  (** the trace could not be judged *)
+
+val verdict :
+  ?budget:int -> 'a check -> cores:int -> dropped:int -> Event.t list ->
+  'a verdict
+(** Judge a recorded trace, [dropped] being the events its recorder
+    lost ({!Recorder.dropped_total}).  A lossy trace, or one longer than
+    [budget] events, is [Inconclusive] and is never checked: it can
+    yield no race and no violation. *)
+
+val pp_inconclusive : Format.formatter -> inconclusive -> unit

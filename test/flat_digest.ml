@@ -30,31 +30,30 @@ let digest_run ~app_name ~scale ~backend ~cores ~plane_name ~chaos ~replay =
   in
   let cfg = { Config.small with cores } in
   let cfg = match chaos with None -> cfg | Some seed -> Config.chaos ~seed cfg in
-  let recorder = ref None in
-  let on_api =
+  let r, verdict =
     if replay then
-      Some (fun api -> recorder := Some (Pmc_trace.Recorder.attach api))
-    else None
+      let outcome, rec_ =
+        Pmc_apps.Runner.run_traced ~cfg app ~backend ~scale
+      in
+      let verdict =
+        match
+          Pmc_trace.Replay.verdict Pmc_trace.Replay.Model ~cores
+            ~dropped:(Pmc_trace.Recorder.dropped_total rec_)
+            (Pmc_trace.Recorder.events rec_)
+        with
+        | Pmc_trace.Replay.Consistent -> " verdict=consistent"
+        | Pmc_trace.Replay.Violations _ -> " verdict=violation"
+        | Pmc_trace.Replay.Inconclusive _ -> " verdict=dropped"
+      in
+      (Pmc_apps.Runner.finished outcome, verdict)
+    else (Pmc_apps.Runner.run ~cfg app ~backend ~scale, "")
   in
-  let r = Pmc_apps.Runner.run ~cfg ?on_api app ~backend ~scale in
   let s = r.Pmc_apps.Runner.summary in
   let cats =
     String.concat ";"
       (List.map
          (fun c -> string_of_int (Stats.category_cycles s c))
          Stats.categories)
-  in
-  let verdict =
-    match !recorder with
-    | None -> ""
-    | Some rec_ ->
-        if Pmc_trace.Recorder.dropped_total rec_ > 0 then " verdict=dropped"
-        else
-          let report =
-            Pmc_trace.Replay.check ~cores (Pmc_trace.Recorder.events rec_)
-          in
-          if Pmc_model.History.ok report then " verdict=consistent"
-          else " verdict=violation"
   in
   Printf.printf
     "%s/%s/c%d/s%d/%s wall=%d sum=%Ld ref=%Ld instr=%d flits=%d writes=%d \

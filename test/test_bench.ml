@@ -317,19 +317,16 @@ let arb_equiv =
         (oneofl equiv_backends))
 
 let run_traced cfg app ~backend ~scale =
-  let recorder = ref None in
-  let r =
-    Pmc_apps.Runner.run ~cfg
-      ~on_api:(fun api -> recorder := Some (Pmc_trace.Recorder.attach api))
-      app ~backend ~scale
-  in
-  let rec_ = Option.get !recorder in
-  let complete = Pmc_trace.Recorder.dropped_total rec_ = 0 in
-  let report =
-    Pmc_trace.Replay.check ~cores:cfg.Config.cores
+  let outcome, rec_ = Pmc_apps.Runner.run_traced ~cfg app ~backend ~scale in
+  let dropped = Pmc_trace.Recorder.dropped_total rec_ in
+  let verdict =
+    Pmc_trace.Replay.verdict Pmc_trace.Replay.Model ~cores:cfg.Config.cores
+      ~dropped
       (Pmc_trace.Recorder.events rec_)
   in
-  (r, complete, Pmc_model.History.ok report)
+  ( Pmc_apps.Runner.finished outcome,
+    dropped = 0,
+    verdict = Pmc_trace.Replay.Consistent )
 
 let prop_batching_equivalence =
   QCheck.Test.make ~count:12

@@ -354,18 +354,23 @@ let prop_seeded_runs_deterministic =
       && r1.Pmc_apps.Chaos.wall = r2.Pmc_apps.Chaos.wall
       && r1.Pmc_apps.Chaos.faults = r2.Pmc_apps.Chaos.faults)
 
-(* a complete soak, with the model replay on, at a geometry small enough
-   for the checker *)
+(* a complete soak — the job batch pmc_chaos runs — with the model replay
+   on, at a geometry small enough for the checker *)
 let test_soak_with_replay () =
-  let apps =
-    List.filter_map Pmc_apps.Registry.find [ "histogram"; "reduce" ]
-  in
   let s =
-    Pmc_apps.Chaos.soak ~apps ~backend:Pmc.Backends.Dsm ~cores:4 ~scale:4
-      ~seeds:[ 1; 2; 3; 4; 5 ] ()
+    Pmc_jobs.Run.chaos_wall ~apps:[ "histogram"; "reduce" ] ~backend:"dsm"
+      ~topology:"star" ~cores:4 ~scale:4 ~seeds:[ 1; 2; 3; 4; 5 ]
+      ~intensity:1.0 ~model_check:true ~replay_budget:None
+    |> Pmc_jobs.Run.run_all
+    |> List.map (function
+         | Pmc_jobs.Result.Chaos_soaked r -> r
+         | r -> Alcotest.failf "not a chaos report: %a" Pmc_jobs.Result.pp r)
+    |> Pmc_apps.Chaos.summarize
   in
   Alcotest.(check int) "ten runs" 10 s.Pmc_apps.Chaos.total;
   Alcotest.(check int) "no silent failures" 0 s.Pmc_apps.Chaos.failed;
+  Alcotest.(check int) "every completed run replayed" 0
+    s.Pmc_apps.Chaos.unchecked;
   Alcotest.(check bool) "soak passes" true (Pmc_apps.Chaos.ok s)
 
 let suite =

@@ -167,10 +167,14 @@ let test_logged_exit_never_tears () =
   List.iter
     (fun name ->
       let app = find_app name in
+      let window =
+        Pmc_apps.Crash.window ~log:true ~topology:Topology.Star app
+          ~backend:Pmc.Backends.Farmem ~cores:4 ~scale:6
+      in
       for seed = 1 to 10 do
         let r =
-          Pmc_apps.Crash.crash_one app ~backend:Pmc.Backends.Farmem ~cores:4
-            ~scale:6 ~seed
+          Pmc_apps.Crash.crash_one ~window app ~backend:Pmc.Backends.Farmem
+            ~cores:4 ~scale:6 ~seed
         in
         Alcotest.(check bool)
           (Fmt.str "%s seed %d: %a" name seed Pmc_apps.Crash.pp_verdict
@@ -185,10 +189,14 @@ let test_unlogged_exit_is_caught () =
      word-by-word and some seed must land a cut mid-publication — if the
      checker never reports Torn here, it is not checking anything *)
   let app = find_app "stencil" in
+  let window =
+    Pmc_apps.Crash.window ~log:false ~topology:Topology.Star app
+      ~backend:Pmc.Backends.Farmem ~cores:4 ~scale:6
+  in
   let torn = ref 0 in
   for seed = 1 to 12 do
     let r =
-      Pmc_apps.Crash.crash_one ~log:false ~model_check:false app
+      Pmc_apps.Crash.crash_one ~log:false ~window ~model_check:false app
         ~backend:Pmc.Backends.Farmem ~cores:4 ~scale:6 ~seed
     in
     match r.Pmc_apps.Crash.verdict with
@@ -202,8 +210,8 @@ let test_unlogged_exit_is_caught () =
 let test_non_farmem_backend_rejected () =
   let app = find_app "histogram" in
   let r =
-    Pmc_apps.Crash.crash_one app ~backend:Pmc.Backends.Dsm ~cores:4 ~scale:4
-      ~seed:1
+    Pmc_apps.Crash.crash_one ~window:3_000 app ~backend:Pmc.Backends.Dsm
+      ~cores:4 ~scale:4 ~seed:1
   in
   match r.Pmc_apps.Crash.verdict with
   | Pmc_apps.Crash.Check_error _ -> ()
@@ -213,18 +221,26 @@ let test_non_farmem_backend_rejected () =
 
 (* ---------------- sweep and jobs ---------------- *)
 
+(* a sweep is the batch of crash jobs pmc_chaos runs *)
 let test_sweep_counts () =
-  let apps = [ find_app "histogram"; find_app "reduce" ] in
   let s =
-    Pmc_apps.Crash.sweep ~apps ~backend:Pmc.Backends.Farmem ~cores:4 ~scale:6
-      ~seeds:[ 1; 2; 3 ] ()
+    Pmc_jobs.Run.crash_wall ~apps:[ "histogram"; "reduce" ]
+      ~backend:"farmem" ~topology:"star" ~cores:4 ~scale:6 ~seeds:[ 1; 2; 3 ]
+      ~window:None ~log:true ~model_check:true ~replay_budget:None
+    |> Pmc_jobs.Run.run_all
+    |> List.map (function
+         | Pmc_jobs.Result.Crash_checked r -> r
+         | r -> Alcotest.failf "not a crash report: %a" Pmc_jobs.Result.pp r)
+    |> Pmc_apps.Crash.summarize
   in
   Alcotest.(check int) "six experiments" 6 s.Pmc_apps.Crash.total;
   Alcotest.(check bool) "sweep passes" true (Pmc_apps.Crash.ok s);
   Alcotest.(check int) "every verdict accounted" s.Pmc_apps.Crash.total
     (s.Pmc_apps.Crash.recovered + s.Pmc_apps.Crash.completed
     + s.Pmc_apps.Crash.torn + s.Pmc_apps.Crash.inconsistent
-    + s.Pmc_apps.Crash.errors)
+    + s.Pmc_apps.Crash.errors);
+  Alcotest.(check int) "every passing experiment replayed" 0
+    s.Pmc_apps.Crash.unchecked
 
 let test_crash_job_roundtrip () =
   let job =

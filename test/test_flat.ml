@@ -68,7 +68,7 @@ let backends =
   [ Pmc.Backends.Nocc; Pmc.Backends.Swcc; Pmc.Backends.Dsm; Pmc.Backends.Spm ]
 
 (* Everything deterministic a run produces, as one comparable value. *)
-let digest ?on_api ~chaos (app_name, scale) backend cores =
+let digest ?(traced = false) ~chaos (app_name, scale) backend cores =
   let app =
     match Pmc_apps.Registry.find app_name with
     | Some a -> a
@@ -78,7 +78,12 @@ let digest ?on_api ~chaos (app_name, scale) backend cores =
   let cfg =
     match chaos with None -> cfg | Some seed -> Config.chaos ~seed cfg
   in
-  let r = Pmc_apps.Runner.run ~cfg ?on_api app ~backend ~scale in
+  let r =
+    if traced then
+      Pmc_apps.Runner.finished
+        (fst (Pmc_apps.Runner.run_traced ~cfg app ~backend ~scale))
+    else Pmc_apps.Runner.run ~cfg app ~backend ~scale
+  in
   let s = r.Pmc_apps.Runner.summary in
   ( ( r.Pmc_apps.Runner.wall,
       r.Pmc_apps.Runner.checksum,
@@ -120,16 +125,8 @@ let prop_trace_transparent =
     ~name:"flat core: attaching a trace sink changes no counter"
     arb_point
     (fun (case, backend, cores, chaos) ->
-      let untraced = digest ~chaos case backend cores in
-      let recorder = ref None in
-      let traced =
-        digest
-          ~on_api:(fun api ->
-            recorder := Some (Pmc_trace.Recorder.attach api))
-          ~chaos case backend cores
-      in
-      ignore !recorder;
-      untraced = traced)
+      digest ~chaos case backend cores
+      = digest ~traced:true ~chaos case backend cores)
 
 let suite =
   ( "flat",

@@ -111,18 +111,18 @@ let test_ids_are_domain_local_and_resettable () =
 
 (* ---------------- parallel == sequential: chaos soak ---------------- *)
 
-let soak_with pool ~seeds =
-  let apps = List.filter_map Pmc_apps.Registry.find [ "histogram" ] in
-  Pmc_apps.Chaos.soak ~model_check:false ?pool ~apps
-    ~backend:Pmc.Backends.Dsm ~cores:4 ~scale:6 ~seeds ()
+(* A soak is a batch of chaos jobs, as pmc_chaos runs it. *)
+let soak ?pool ~apps ~scale ~seeds ~model_check () =
+  Pmc_jobs.Run.chaos_wall ~apps ~backend:"dsm" ~topology:"star" ~cores:4
+    ~scale ~seeds ~intensity:1.0 ~model_check ~replay_budget:None
+  |> Pmc_jobs.Run.run_all ?pool
+  |> List.map (function
+       | Pmc_jobs.Result.Chaos_soaked r -> r
+       | r -> Alcotest.failf "not a chaos report: %a" Pmc_jobs.Result.pp r)
+  |> Pmc_apps.Chaos.summarize
 
-let soak_equal (a : Pmc_apps.Chaos.soak) (b : Pmc_apps.Chaos.soak) =
-  a.Pmc_apps.Chaos.reports = b.Pmc_apps.Chaos.reports
-  && a.Pmc_apps.Chaos.total = b.Pmc_apps.Chaos.total
-  && a.Pmc_apps.Chaos.completed = b.Pmc_apps.Chaos.completed
-  && a.Pmc_apps.Chaos.typed_errors = b.Pmc_apps.Chaos.typed_errors
-  && a.Pmc_apps.Chaos.failed = b.Pmc_apps.Chaos.failed
-  && a.Pmc_apps.Chaos.injected = b.Pmc_apps.Chaos.injected
+let soak_with pool ~seeds =
+  soak ?pool ~apps:[ "histogram" ] ~scale:6 ~seeds ~model_check:false ()
 
 let prop_parallel_soak_equals_sequential =
   QCheck.Test.make ~count:8
@@ -132,23 +132,20 @@ let prop_parallel_soak_equals_sequential =
       let seeds = [ seed_base; seed_base + 1; seed_base + 2 ] in
       let seq = soak_with None ~seeds in
       Pool.with_pool ~jobs:3 (fun pool ->
-          soak_equal seq (soak_with (Some pool) ~seeds)))
+          seq = soak_with (Some pool) ~seeds))
 
 let test_parallel_soak_with_replay_identical () =
   (* with the model replay on, too: the recorder/replay path is the part
      with the most per-run state *)
-  let apps =
-    List.filter_map Pmc_apps.Registry.find [ "histogram"; "reduce" ]
+  let replay_soak ?pool () =
+    soak ?pool ~apps:[ "histogram"; "reduce" ] ~scale:4 ~seeds:[ 1; 2; 3 ]
+      ~model_check:true ()
   in
-  let soak pool =
-    Pmc_apps.Chaos.soak ?pool ~apps ~backend:Pmc.Backends.Dsm ~cores:4
-      ~scale:4 ~seeds:[ 1; 2; 3 ] ()
-  in
-  let seq = soak None in
+  let seq = replay_soak () in
   Pool.with_pool ~jobs:2 (fun pool ->
       Alcotest.(check bool)
         "replay-on soak identical at jobs=2" true
-        (soak_equal seq (soak (Some pool))))
+        (seq = replay_soak ~pool ()))
 
 (* ---------------- parallel == sequential: litmus ---------------- *)
 

@@ -218,27 +218,23 @@ let test_replay_routed () =
       let cfg = { Config.default with cores; topology } in
       List.iter
         (fun backend ->
-          let recorder = ref None in
-          let r =
-            Pmc_apps.Runner.run ~cfg
-              ~on_api:(fun api ->
-                recorder := Some (Pmc_trace.Recorder.attach api))
-              Pmc_apps.Kv_store.app ~backend ~scale:2
+          let outcome, rec_ =
+            Pmc_apps.Runner.run_traced ~cfg Pmc_apps.Kv_store.app ~backend
+              ~scale:2
           in
+          let r = Pmc_apps.Runner.finished outcome in
           let name =
             Printf.sprintf "kv_store/%s/%s" topo_name
               (Pmc.Backends.to_string backend)
           in
           Alcotest.(check bool) (name ^ " checksum") true
             (Pmc_apps.Runner.ok r);
-          let rec_ = Option.get !recorder in
-          Alcotest.(check int) (name ^ " complete trace") 0
-            (Pmc_trace.Recorder.dropped_total rec_);
-          let report =
-            Pmc_trace.Replay.check ~cores (Pmc_trace.Recorder.events rec_)
-          in
+          let dropped = Pmc_trace.Recorder.dropped_total rec_ in
+          Alcotest.(check int) (name ^ " complete trace") 0 dropped;
           Alcotest.(check bool) (name ^ " PMC-consistent") true
-            (Pmc_model.History.ok report))
+            (Pmc_trace.Replay.verdict Pmc_trace.Replay.Model ~cores ~dropped
+               (Pmc_trace.Recorder.events rec_)
+            = Pmc_trace.Replay.Consistent))
         [ Pmc.Backends.Seqcst; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
           Pmc.Backends.Spm ])
     [ ("mesh:2x2", 4); ("torus:2x2", 4); ("hier:2x2", 4) ]

@@ -63,9 +63,9 @@ let test_recorder_drops () =
   let rec_ = record_pair ~capacity:8 annotated_prog in
   Alcotest.(check bool) "drops counted" true
     (Pmc_trace.Recorder.dropped_total rec_ > 0);
-  (* surviving events per core ≤ capacity *)
+  (* surviving events per core ≤ capacity, on both cores *)
   Alcotest.(check bool) "rings bounded" true
-    (Pmc_trace.Recorder.recorded rec_ <= 8 * Pmc_trace.Recorder.cores rec_)
+    (Pmc_trace.Recorder.recorded rec_ <= 8 * 2)
 
 let test_recorder_detach () =
   let rec_ = record_pair annotated_prog in
@@ -170,39 +170,69 @@ let prop_racy_always_flagged =
 
 (* ---------------- model replay ---------------- *)
 
+let verdict check ~cores rec_ =
+  Pmc_trace.Replay.verdict check ~cores
+    ~dropped:(Pmc_trace.Recorder.dropped_total rec_)
+    (Pmc_trace.Recorder.events rec_)
+
 let test_replay_apps () =
   List.iter
     (fun (app_name, scale) ->
       let app = Option.get (Pmc_apps.Registry.find app_name) in
       List.iter
         (fun backend ->
-          let recorder = ref None in
-          let r =
-            Pmc_apps.Runner.run ~cfg
-              ~on_api:(fun api ->
-                recorder := Some (Pmc_trace.Recorder.attach api))
-              app ~backend ~scale
+          let outcome, rec_ =
+            Pmc_apps.Runner.run_traced ~cfg app ~backend ~scale
           in
           let name =
             Printf.sprintf "%s/%s" app.Pmc_apps.Runner.name
               (Pmc.Backends.to_string backend)
           in
           Alcotest.(check bool) (name ^ " checksum") true
-            (Pmc_apps.Runner.ok r);
-          let rec_ = Option.get !recorder in
+            (Pmc_apps.Runner.ok (Pmc_apps.Runner.finished outcome));
           Alcotest.(check int) (name ^ " complete trace") 0
             (Pmc_trace.Recorder.dropped_total rec_);
-          let report =
-            Pmc_trace.Replay.check ~cores:cfg.Config.cores
-              (Pmc_trace.Recorder.events rec_)
-          in
           Alcotest.(check bool) (name ^ " PMC-consistent") true
-            (Pmc_model.History.ok report))
+            (verdict Pmc_trace.Replay.Model ~cores:cfg.Config.cores rec_
+            = Pmc_trace.Replay.Consistent))
         [ Pmc.Backends.Seqcst; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
           Pmc.Backends.Spm ])
     (* stencil at a deliberately small scale: its RO-heavy traces make the
        quadratic History.check expensive *)
     [ ("histogram", 8); ("stencil", 4) ]
+
+(* A lossy trace is never judged: with a 16-event ring the run below
+   overflows, and both checks must come back inconclusive with the
+   exact drop count instead of a (spurious) race or violation. *)
+let test_lossy_trace_inconclusive () =
+  let app = Option.get (Pmc_apps.Registry.find "histogram") in
+  let outcome, rec_ =
+    Pmc_apps.Runner.run_traced ~capacity:16 ~cfg app
+      ~backend:Pmc.Backends.Dsm ~scale:8
+  in
+  Alcotest.(check bool) "checksum" true
+    (Pmc_apps.Runner.ok (Pmc_apps.Runner.finished outcome));
+  let dropped = Pmc_trace.Recorder.dropped_total rec_ in
+  Alcotest.(check bool) "ring overflowed" true (dropped > 0);
+  let cores = cfg.Config.cores in
+  let expect =
+    Pmc_trace.Replay.Inconclusive (Pmc_trace.Replay.Dropped dropped)
+  in
+  Alcotest.(check bool) "model check inconclusive" true
+    (verdict Pmc_trace.Replay.Model ~cores rec_ = expect);
+  Alcotest.(check bool) "race check inconclusive" true
+    (verdict Pmc_trace.Replay.Races ~cores rec_ = expect);
+  (* and a complete trace over a replay budget is inconclusive too *)
+  let _, full =
+    Pmc_apps.Runner.run_traced ~cfg app ~backend:Pmc.Backends.Dsm ~scale:8
+  in
+  let events = Pmc_trace.Recorder.events full in
+  Alcotest.(check bool) "over budget inconclusive" true
+    (Pmc_trace.Replay.verdict ~budget:10 Pmc_trace.Replay.Model ~cores
+       ~dropped:0 events
+    = Pmc_trace.Replay.Inconclusive
+        (Pmc_trace.Replay.Over_budget
+           { events = List.length events; budget = 10 }))
 
 let test_replay_lowering () =
   let rec_ = record_pair annotated_prog in
@@ -268,5 +298,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_racy_always_flagged;
       Alcotest.test_case "replay apps x backends" `Slow test_replay_apps;
       Alcotest.test_case "replay lowering" `Quick test_replay_lowering;
+      Alcotest.test_case "lossy trace is inconclusive" `Quick
+        test_lossy_trace_inconclusive;
       Alcotest.test_case "export json" `Quick test_export_json;
     ] )

@@ -1,42 +1,31 @@
-(* pmc_chaos — fault-injection soak harness CLI.
+(* pmc chaos — fault-injection soak harness.
 
-     pmc_chaos soak --seeds 20 --backend dsm
+     pmc chaos soak --seeds 20 --backend dsm
          run every registered app under 20 seeded fault schedules;
          each run must complete correctly or fail with a typed error —
          a silent wrong answer (exit 3) or a PMC-inconsistent trace
          (exit 4) fails the soak;
-     pmc_chaos soak --seeds 20 --smoke
+     pmc chaos soak --seeds 20 --smoke
          the CI gate: three kernels at a small geometry;
-     pmc_chaos run --app stencil --seed 7 --intensity 2.0
+     pmc chaos run --app stencil --seed 7 --intensity 2.0
          one seeded run with its full fault and verdict report;
-     pmc_chaos crash --seeds 0..255 --backend farmem
+     pmc chaos crash --seeds 0..255 --backend farmem
          power-cut crash-recovery experiments on the far-memory tier:
          each seed's run is cut at a deterministic cycle, recovery
          replays the redo log from the durable image, and the checker
          requires no torn object (exit 3) and a PMC-consistent durable
          prefix (exit 4);
-     pmc_chaos zerocost --baseline BENCH_BASELINE.json
+     pmc chaos zerocost --baseline BENCH_BASELINE.json
          assert the zero-cost-when-off invariant: disarmed chaos
          machines ([Config.no_faults (Config.chaos ...)]) reproduce the
          fault-free runs bit for bit, including the committed benchmark
          baseline's architectural metrics.
 
    Seeded runs go through the shared Pmc_jobs layer — the same code
-   path the pmc_serve daemon runs.  Exit codes follow the documented
-   convention: 0 success; 2 input error; 3 property failure (wrong
-   result, zerocost difference); 4 formal PMC-model inconsistency; 5
-   (soak/crash --smoke) a passing run's trace went unchecked. *)
+   path the `pmc serve` daemon runs. *)
 
 open Cmdliner
 open Pmc_sim
-
-let parse_app s =
-  match Pmc_apps.Registry.find s with
-  | Some a -> a
-  | None ->
-      Fmt.epr "unknown app %S; one of: %s@." s
-        (String.concat ", " Pmc_apps.Registry.names);
-      exit 2
 
 (* The smoke matrix: three kernels with distinct traffic shapes at a
    geometry small enough for CI. *)
@@ -56,8 +45,7 @@ let run_wall ~name ~jobs wall =
   List.iter
     (function
       | Pmc_jobs.Result.Error e ->
-          Fmt.epr "%s: %s@." name e.Pmc_jobs.Result.detail;
-          exit 2
+          Cli.fail "%s: %s" name e.Pmc_jobs.Result.detail
       | _ -> ())
     results;
   results
@@ -76,10 +64,11 @@ let wall_exit_code results =
 let gate_unchecked ~smoke ~no_model_check unchecked =
   if smoke && (not no_model_check) && unchecked > 0 then begin
     Fmt.epr "%d passing run(s) not model-checked@." unchecked;
-    exit 5
+    5
   end
+  else 0
 
-let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
+let soak app backend topology cores scale seeds seed_base intensity smoke
     no_model_check replay_budget jobs quiet =
   (* smoke geometry: small enough that every trace fits the replay
      budget and the model checker runs on every completed seed *)
@@ -107,26 +96,9 @@ let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
         if not (Pmc_apps.Chaos.acceptable r.Pmc_apps.Chaos.verdict) then
           Fmt.epr "FAILED: %a@." Pmc_apps.Chaos.pp_report r)
       s.Pmc_apps.Chaos.reports;
-    exit (wall_exit_code results)
-  end;
-  gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Chaos.unchecked
-
-(* ---------------- run ---------------- *)
-
-let run_cmd app backend topology cores scale seed intensity no_model_check
-    replay_budget =
-  (* a wall of one seed, printed in full *)
-  Pmc_jobs.Run.chaos_wall ~apps:[ app ] ~backend ~topology ~cores ~scale
-    ~seeds:[ seed ] ~intensity ~model_check:(not no_model_check)
-    ~replay_budget
-  |> List.iter (fun job ->
-         let r = Pmc_jobs.Run.run job in
-         Fmt.pr "%a" Pmc_jobs.Result.pp r;
-         (match r with
-         | Pmc_jobs.Result.Error e ->
-             Fmt.epr "run: %s@." e.Pmc_jobs.Result.detail
-         | _ -> ());
-         match Pmc_jobs.Result.exit_code r with 0 -> () | c -> exit c)
+    wall_exit_code results
+  end
+  else gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Chaos.unchecked
 
 (* ---------------- crash ---------------- *)
 
@@ -134,8 +106,7 @@ let run_cmd app backend topology cores scale seed intensity no_model_check
    or an inclusive range A..B. *)
 let parse_seed_list ~seed_base s =
   let fail () =
-    Fmt.epr "bad --seeds %S: expected a count N or a range A..B@." s;
-    exit 2
+    Cli.fail "bad --seeds %S: expected a count N or a range A..B" s
   in
   match String.split_on_char '.' s with
   | [ n ] -> (
@@ -148,7 +119,7 @@ let parse_seed_list ~seed_base s =
       | _ -> fail ())
   | _ -> fail ()
 
-let crash_cmd app backend topology cores scale seeds seed_base window no_log
+let crash app backend topology cores scale seeds seed_base window no_log
     smoke no_model_check replay_budget jobs quiet =
   let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
   let results =
@@ -172,9 +143,9 @@ let crash_cmd app backend topology cores scale seeds seed_base window no_log
         if not (Pmc_apps.Crash.acceptable r.Pmc_apps.Crash.verdict) then
           Fmt.epr "FAILED: %a@." Pmc_apps.Crash.pp_report r)
       s.Pmc_apps.Crash.reports;
-    exit (wall_exit_code results)
-  end;
-  gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Crash.unchecked
+    wall_exit_code results
+  end
+  else gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Crash.unchecked
 
 (* ---------------- zerocost ---------------- *)
 
@@ -183,7 +154,7 @@ let zerocost_identity ~seed ~quiet =
   let failures = ref 0 in
   List.iter
     (fun name ->
-      let app = parse_app name in
+      let app = Cli.find_app name in
       List.iter
         (fun backend ->
           let id =
@@ -214,9 +185,7 @@ let zerocost_identity ~seed ~quiet =
 let zerocost_baseline ~path ~seed ~quiet =
   let report =
     try Pmc_bench.Report.load path
-    with Sys_error msg | Failure msg ->
-      Fmt.epr "cannot load %s: %s@." path msg;
-      exit 2
+    with Sys_error msg | Failure msg -> Cli.fail "cannot load %s: %s" path msg
   in
   let failures = ref 0 in
   (* model-plane (check) cases carry work counts, not simulator metrics;
@@ -230,7 +199,7 @@ let zerocost_baseline ~path ~seed ~quiet =
   List.iter
     (fun (s : Pmc_bench.Measure.sample) ->
       let case = s.Pmc_bench.Measure.case in
-      let app = parse_app case.Pmc_bench.Spec.app in
+      let app = Cli.find_app case.Pmc_bench.Spec.app in
       let cfg =
         Config.no_faults
           (Config.chaos ~seed
@@ -284,211 +253,47 @@ let zerocost_baseline ~path ~seed ~quiet =
     sim_samples;
   !failures
 
-let zerocost_cmd baseline seed quiet =
-  let failures = ref 0 in
-  failures := zerocost_identity ~seed ~quiet;
-  (match baseline with
-  | None -> ()
-  | Some path -> failures := !failures + zerocost_baseline ~path ~seed ~quiet);
-  if !failures > 0 then begin
+let zerocost baseline seed quiet =
+  let identity = zerocost_identity ~seed ~quiet in
+  let failures =
+    identity
+    + Option.fold ~none:0
+        ~some:(fun path -> zerocost_baseline ~path ~seed ~quiet)
+        baseline
+  in
+  if failures > 0 then begin
     Fmt.epr
       "zerocost: %d case(s) differ — the disarmed fault plane is not free@."
-      !failures;
-    exit 3
-  end;
-  Fmt.pr "zerocost: disarmed chaos machines are bit-identical to baseline@."
+      failures;
+    3
+  end
+  else begin
+    Fmt.pr "zerocost: disarmed chaos machines are bit-identical to baseline@.";
+    0
+  end
 
-(* ---------------- cmdliner plumbing ---------------- *)
+let cmd =
+  let quiet = Cli.quiet ~doc:"Only print the summary." in
+  let jobs = Cli.jobs ~action:"Run the wall of seeds" in
+  Cli.group "chaos"
+    ~doc:"Fault injection and chaos soak harness for the PMC simulator"
+    [
+      Cli.cmd "soak" ~doc:"Run apps under a wall of seeded fault schedules"
+        Term.(
+          const soak $ Cli.one_app $ Cli.backend "dsm" $ Cli.topology
+          $ Cli.cores 8 $ Cli.scale 16 $ Cli.seed_count $ Cli.seed_base
+          $ Cli.intensity $ Cli.smoke $ Cli.no_model_check $ Cli.replay_budget
+          $ jobs $ quiet);
+      Cli.cmd "run" ~doc:"One seeded chaos run with a full report"
+        Term.(const (fun job -> Cli.run_local job) $ Cli.chaos_job);
+      Cli.cmd "crash"
+        ~doc:"Power-cut crash-recovery experiments on the far-memory tier"
+        Term.(
+          const crash $ Cli.one_app $ Cli.crash_backend $ Cli.topology
+          $ Cli.cores 8 $ Cli.scale 16 $ Cli.seed_range $ Cli.seed_base
+          $ Cli.window $ Cli.no_log $ Cli.smoke $ Cli.no_model_check
+          $ Cli.replay_budget $ jobs $ quiet);
+      Cli.cmd "zerocost" ~doc:"Assert the disarmed fault plane costs nothing"
+        Term.(const zerocost $ Cli.baseline $ Cli.seed $ quiet);
+    ]
 
-let backend_t =
-  Arg.(
-    value & opt string "dsm"
-    & info [ "backend"; "b" ] ~doc:"seqcst, nocc, swcc, dsm, spm or farmem.")
-
-let crash_backend_t =
-  Arg.(
-    value & opt string "farmem"
-    & info [ "backend"; "b" ]
-        ~doc:"Back-end to crash (only farmem has a durable tier).")
-
-let cores_t =
-  Arg.(value & opt int 8 & info [ "cores"; "c" ] ~doc:"Number of tiles.")
-
-let topology_t =
-  Arg.(
-    value & opt string "star"
-    & info [ "topology" ] ~docv:"FABRIC"
-        ~doc:
-          "Fabric the tiles are wired in: star, mesh[:XxY], torus[:XxY] \
-           or hier[:CxS].  Bare mesh/torus/hier pick a near-square \
-           factorization of the core count; on routed fabrics chaos \
-           draws one fault outcome per physical link of each route.")
-
-let scale_t =
-  Arg.(value & opt int 16 & info [ "scale"; "s" ] ~doc:"Workload scale.")
-
-let seeds_t =
-  Arg.(
-    value & opt int 10
-    & info [ "seeds" ] ~docv:"N" ~doc:"Fault schedules per app (the wall).")
-
-let seed_base_t =
-  Arg.(
-    value & opt int 1
-    & info [ "seed-base" ] ~docv:"S" ~doc:"First fault seed of the wall.")
-
-let seed_t =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault schedule seed.")
-
-let intensity_t =
-  Arg.(
-    value & opt float 1.0
-    & info [ "intensity" ] ~docv:"X"
-        ~doc:"Fault probability multiplier (1.0 = the standard mix).")
-
-let smoke_t =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:"CI geometry: three kernels, 4 cores, capped scale.")
-
-let no_model_check_t =
-  Arg.(
-    value & flag
-    & info [ "no-model-check" ]
-        ~doc:"Skip the PMC model replay of completed runs.")
-
-let jobs_t = Pmc_par.Cli.term ~action:"Run the wall of seeds" ()
-
-let quiet_t =
-  Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only print the summary.")
-
-let replay_budget_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "replay-budget" ] ~docv:"N"
-        ~doc:
-          "Skip the model replay for traces above N captured events \
-           (default 100000 for soak, 500000 for crash).")
-
-let crash_seeds_t =
-  Arg.(
-    value & opt string "8"
-    & info [ "seeds" ] ~docv:"N|A..B"
-        ~doc:
-          "Power-cut seeds per app: a count N (from seed-base) or an \
-           inclusive range A..B.")
-
-let window_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "window" ] ~docv:"CYCLES"
-        ~doc:
-          "Cut window in cycles.  Default: each app's fault-free wall \
-           clock, so the cut lands inside the run.")
-
-let no_log_t =
-  Arg.(
-    value & flag
-    & info [ "no-log" ]
-        ~doc:
-          "Disarm the redo log: exit_x publishes word by word, which a \
-           mid-publication cut can tear — the negative control the \
-           checker must catch.")
-
-let app_opt_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "app"; "a" ] ~doc:"Run a single application.")
-
-let app_t =
-  Arg.(value & opt string "stencil" & info [ "app"; "a" ] ~doc:"Application.")
-
-let baseline_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:
-          "Also replay this benchmark report's cases on a disarmed-chaos \
-           machine and require exact metric equality.")
-
-let unchecked_exit =
-  Cmd.Exit.info 5
-    ~doc:
-      "with $(b,--smoke): a passing run's trace was not model-checked \
-       (inconclusive: ring overflow or over the replay budget)."
-
-let soak_c =
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:"Run apps under a wall of seeded fault schedules"
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"every run completed or failed typed.";
-           Cmd.Exit.info 2 ~doc:"input error: unknown app or backend.";
-           Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
-           Cmd.Exit.info 4
-             ~doc:"a model replay found a trace PMC-inconsistent.";
-           unchecked_exit;
-         ])
-    Term.(
-      const soak_cmd $ app_opt_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ seeds_t $ seed_base_t $ intensity_t $ smoke_t $ no_model_check_t
-      $ replay_budget_t $ jobs_t $ quiet_t)
-
-let run_c =
-  Cmd.v
-    (Cmd.info "run" ~doc:"One seeded chaos run with a full report"
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"the run completed or failed typed.";
-           Cmd.Exit.info 2 ~doc:"input error: unknown app or backend.";
-           Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
-           Cmd.Exit.info 4
-             ~doc:"the model replay found the trace PMC-inconsistent.";
-         ])
-    Term.(
-      const run_cmd $ app_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ seed_t $ intensity_t $ no_model_check_t $ replay_budget_t)
-
-let crash_c =
-  Cmd.v
-    (Cmd.info "crash"
-       ~doc:"Power-cut crash-recovery experiments on the far-memory tier"
-       ~exits:
-         [
-           Cmd.Exit.info 0
-             ~doc:"every experiment recovered clean (or completed).";
-           Cmd.Exit.info 2
-             ~doc:"input error, or an experiment itself failed.";
-           Cmd.Exit.info 3
-             ~doc:"property failure: a recovered object was torn.";
-           Cmd.Exit.info 4
-             ~doc:"a durable prefix replayed PMC-inconsistent.";
-           unchecked_exit;
-         ])
-    Term.(
-      const crash_cmd $ app_opt_t $ crash_backend_t $ topology_t $ cores_t
-      $ scale_t $ crash_seeds_t $ seed_base_t $ window_t $ no_log_t $ smoke_t
-      $ no_model_check_t $ replay_budget_t $ jobs_t $ quiet_t)
-
-let zerocost_c =
-  Cmd.v
-    (Cmd.info "zerocost"
-       ~doc:"Assert the disarmed fault plane costs nothing"
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"disarmed runs are bit-identical.";
-           Cmd.Exit.info 2 ~doc:"the baseline report could not be read.";
-           Cmd.Exit.info 3
-             ~doc:"property failure: a disarmed run differed from baseline.";
-         ])
-    Term.(const zerocost_cmd $ baseline_t $ seed_t $ quiet_t)
-
-let main_c =
-  Cmd.group
-    (Cmd.info "pmc_chaos" ~version:"%%VERSION%%"
-       ~doc:"Fault injection and chaos soak harness for the PMC simulator")
-    [ soak_c; run_c; crash_c; zerocost_c ]
-
-let () = exit (Cmd.eval main_c)

@@ -1,18 +1,15 @@
-(* litmus_run — enumerate litmus-test outcome sets under the operational
+(* pmc litmus — enumerate litmus-test outcome sets under the operational
    semantics of each memory model, and print the dependency graphs of the
    paper's figures.
 
-     litmus_run                   # all standard programs, all models
-     litmus_run -p mp_fence       # one program (repeatable)
-     litmus_run --figures         # Fig. 2-5 dependency graphs
-     litmus_run --drf             # data-race-freedom analysis
+     pmc litmus                   # all standard programs, all models
+     pmc litmus -p mp_fence       # one program (repeatable)
+     pmc litmus --figures         # Fig. 2-5 dependency graphs
+     pmc litmus --drf             # data-race-freedom analysis
 
    Enumeration goes through the shared Pmc_jobs layer — the same code
-   path the pmc_serve daemon runs — so this CLI and a daemon answer are
-   byte-identical.  Exit codes follow the documented convention:
-   0 success; 2 input, budget or runtime error; 3 property failure;
-   4 formal PMC-model inconsistency (the latter two do not arise from
-   pure enumeration). *)
+   path the `pmc serve` daemon runs — so this command and a daemon answer
+   are byte-identical. *)
 
 open Cmdliner
 open Pmc_model
@@ -162,66 +159,26 @@ let main figures drf dot stats programs jobs =
   if figures then (print_figures (); 0)
   else if dot then (print_dot (); 0)
   else
-    let selection =
+    let selected =
       match programs with
-      | [] -> Ok Lprog.all_standard
+      | [] -> Lprog.all_standard
       | names ->
-          let missing =
-            List.filter
-              (fun n -> Pmc_jobs.Run.find_program n = None)
-              names
-          in
-          if missing <> [] then Error missing
-          else Ok (List.filter_map Pmc_jobs.Run.find_program names)
+          List.map
+            (fun n ->
+              match Pmc_jobs.Run.find_program n with
+              | Some p -> p
+              | None ->
+                  Cli.fail "unknown program %S (known: %s)" n
+                    (String.concat ", " Pmc_jobs.Run.program_names))
+            names
     in
-    match selection with
-    | Error missing ->
-        List.iter
-          (fun n ->
-            Fmt.epr "unknown program %S (known: %s)@." n
-              (String.concat ", " Pmc_jobs.Run.program_names))
-          missing;
-        2
-    | Ok selected ->
-        Pmc_par.Pool.with_pool ~jobs (fun pool ->
-            if drf then (print_drf pool; 0)
-            else if stats then (print_stats pool selected; 0)
-            else print_programs pool selected)
+    Pmc_par.Pool.with_pool ~jobs (fun pool ->
+        if drf then (print_drf pool; 0)
+        else if stats then (print_stats pool selected; 0)
+        else print_programs pool selected)
 
 let cmd =
-  Cmd.v
-    (Cmd.info "litmus_run" ~doc:"Memory-model litmus tests and figures"
-       ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"enumeration (or analysis) succeeded.";
-           Cmd.Exit.info 2
-             ~doc:"input error: unknown program name or exhausted budget.";
-           Cmd.Exit.info 3 ~doc:"property failure (reserved; unused here).";
-           Cmd.Exit.info 4
-             ~doc:"formal PMC-model inconsistency (reserved; unused here).";
-         ])
+  Cli.cmd "litmus" ~doc:"Memory-model litmus tests and figures"
     Term.(
-      const main
-      $ Arg.(value & flag & info [ "figures" ] ~doc:"Print Fig. 2-5 graphs.")
-      $ Arg.(value & flag & info [ "drf" ] ~doc:"Data-race analysis.")
-      $ Arg.(value & flag & info [ "dot" ] ~doc:"Fig. 5 as Graphviz dot.")
-      $ Arg.(
-          value & flag
-          & info [ "stats" ]
-              ~doc:
-                "Print exploration statistics per (program, model) cell: \
-                 states explored, distinct packed keys, stuck states, \
-                 host time and states per second.  With $(b,--jobs) N \
-                 the pool parallelizes the frontier BFS inside each \
-                 enumeration; all non-timing columns are identical at \
-                 any width.")
-      $ Arg.(
-          value & opt_all string []
-          & info [ "program"; "p" ] ~docv:"NAME"
-              ~doc:
-                "Enumerate only $(docv) (repeatable).  Slugs like \
-                 $(b,mp_fence), $(b,sb), $(b,iriw) or full descriptive \
-                 names; default: every standard program.")
-      $ Pmc_par.Cli.term ~action:"Enumerate" ())
-
-let () = exit (Cmd.eval' cmd)
+      const main $ Cli.figures $ Cli.drf $ Cli.dot $ Cli.stats $ Cli.programs
+      $ Cli.jobs ~action:"Enumerate")

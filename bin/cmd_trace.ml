@@ -1,32 +1,17 @@
-(* pmc_trace — the tracing subsystem's own CLI.  Tracing, race-checking
-   and model-replaying an app run is pmc_demo's job (--trace,
-   --race-check, --model-check); this tool holds the rest.
+(* pmc trace — the tracing subsystem's own subcommands.  Tracing,
+   race-checking and model-replaying an app run is `pmc run`'s job
+   (--trace, --race-check, --model-check); this group holds the rest.
 
-     pmc_trace race-demo
+     pmc trace race-demo
          the seeded-race demonstration: the Fig. 6 flag/data program with
          its annotations stripped, caught by the dynamic detector with
          the two conflicting accesses and their cores — then the
          annotated version of the same program, which is clean;
-     pmc_trace dump --app stencil --backend dsm
+     pmc trace dump --app stencil --backend dsm
          print the raw merged event timeline (debugging aid). *)
 
 open Cmdliner
 open Pmc_sim
-
-let parse_backend s =
-  match Pmc.Backends.of_string s with
-  | Some b -> b
-  | None ->
-      Fmt.epr "unknown backend %S (seqcst|nocc|swcc|dsm|spm|farmem)@." s;
-      exit 1
-
-let parse_app s =
-  match Pmc_apps.Registry.find s with
-  | Some a -> a
-  | None ->
-      Fmt.epr "unknown app %S; one of: %s@." s
-        (String.concat ", " Pmc_apps.Registry.names);
-      exit 1
 
 (* ---------------- race-demo ---------------- *)
 
@@ -73,7 +58,7 @@ let race_demo () =
   (match go ~annotated:false with
   | [] ->
       Fmt.pr "no races detected — UNEXPECTED@.";
-      exit 1
+      exit 3
   | races ->
       Fmt.pr "%d distinct data race(s) detected:@." (List.length races);
       List.iter (fun r -> Fmt.pr "  %a@." Pmc_trace.Racecheck.pp_race r) races);
@@ -82,13 +67,14 @@ let race_demo () =
   | [] -> Fmt.pr "no data races — the annotations carry every ordering@."
   | races ->
       Fmt.pr "%d race(s) — UNEXPECTED@." (List.length races);
-      exit 1)
+      exit 3);
+  0
 
 (* ---------------- dump ---------------- *)
 
-let dump_cmd app backend cores scale capacity limit =
-  let app = parse_app app and backend = parse_backend backend in
-  let cfg = { Config.default with cores } in
+let dump app backend cores scale capacity limit =
+  let app = Cli.find_app app and backend = Cli.find_backend backend in
+  let cfg = Cli.config ~cores ~scale () in
   let _, rec_ =
     Pmc_apps.Runner.run_traced ?capacity ~cfg app ~backend ~scale
   in
@@ -97,51 +83,19 @@ let dump_cmd app backend cores scale capacity limit =
   List.iteri
     (fun i e -> if i < limit then Fmt.pr "%a@." Pmc_trace.Event.pp e)
     events;
-  if n > limit then Fmt.pr "... (%d more events)@." (n - limit)
-
-(* ---------------- cmdliner plumbing ---------------- *)
-
-let app_t =
-  Arg.(value & opt string "raytrace" & info [ "app"; "a" ] ~doc:"Application.")
-
-let backend_t =
-  Arg.(
-    value & opt string "swcc"
-    & info [ "backend"; "b" ] ~doc:"seqcst, nocc, swcc, dsm, spm or farmem.")
-
-let cores_t =
-  Arg.(value & opt int 8 & info [ "cores"; "c" ] ~doc:"Number of tiles.")
-
-let scale_t =
-  Arg.(value & opt int 32 & info [ "scale"; "s" ] ~doc:"Workload scale.")
-
-let capacity_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "capacity" ] ~docv:"N"
-        ~doc:"Per-core trace ring capacity (default 65536).")
-
-let limit_t =
-  Arg.(value & opt int 200 & info [ "limit"; "n" ] ~doc:"Max events to print.")
-
-let race_demo_c =
-  Cmd.v
-    (Cmd.info "race-demo"
-       ~doc:"Seeded data race caught by the dynamic detector")
-    Term.(const race_demo $ const ())
-
-let dump_c =
-  Cmd.v (Cmd.info "dump" ~doc:"Print the merged event timeline")
-    Term.(
-      const dump_cmd $ app_t $ backend_t $ cores_t $ scale_t $ capacity_t
-      $ limit_t)
+  if n > limit then Fmt.pr "... (%d more events)@." (n - limit);
+  0
 
 let cmd =
-  Cmd.group
-    (Cmd.info "pmc_trace"
-       ~doc:
-         "Seeded race-detector demonstration and raw event timelines of \
-          PMC runs")
-    [ race_demo_c; dump_c ]
-
-let () = exit (Cmd.eval cmd)
+  Cli.group "trace"
+    ~doc:
+      "Seeded race-detector demonstration and raw event timelines of PMC \
+       runs"
+    [
+      Cli.cmd "race-demo" ~doc:"Seeded data race caught by the dynamic detector"
+        Term.(const race_demo $ const ());
+      Cli.cmd "dump" ~doc:"Print the merged event timeline"
+        Term.(
+          const dump $ Cli.app "raytrace" $ Cli.backend "swcc" $ Cli.cores 8
+          $ Cli.scale 32 $ Cli.capacity $ Cli.event_limit);
+    ]

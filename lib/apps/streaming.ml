@@ -23,7 +23,12 @@ let setup (api : Pmc.Api.t) ~scale =
   let m = Pmc.Api.machine api in
   let cfg = Machine.config m in
   let cores = cfg.Config.cores in
-  let filters = max 1 (cores - 2) in
+  (* each stage needs a core of its own: a filter sharing the sink's
+     core would nest their FIFO scopes *)
+  if cores < 3 then
+    Pmc_error.raise_error ~op:"Streaming.setup"
+      "needs ≥ 3 cores: source, filter, sink (got %d)" cores;
+  let filters = cores - 2 in
   let samples = scale in
   let feed =
     Pmc.Fifo.create api ~name:"feed" ~depth:fifo_depth ~elem_words

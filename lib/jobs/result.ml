@@ -7,8 +7,8 @@
      a pure function of its job, which is what makes the daemon's
      verdict cache sound — a cache hit replays stored bytes and nobody
      can tell it from a fresh run;
-   - [pp] is the single rendering used by litmus_run's program
-     sections, pmc_chaos run's report and pmc_serve submit, so the
+   - [pp] is the single rendering used by pmc litmus's program
+     sections, pmc chaos run's report and pmc serve submit, so the
      serve-smoke CI gate can diff daemon answers against the one-shot
      CLIs. *)
 
@@ -28,7 +28,7 @@ type check_report = {
   ok : bool;
   errors : string list;
   warnings : string list;
-  text : string;  (* the exact bytes pmc_check prints for this program *)
+  text : string;  (* the exact bytes pmc check prints for this program *)
 }
 
 type bench_sample = {
@@ -53,7 +53,7 @@ type t =
 
 (* ---------------- exit codes ----------------
 
-   The documented CLI contract (the pmc_demo 0/2/3/4 convention):
+   The documented exit-code contract of every pmc subcommand:
    0 success, 2 input/budget/runtime errors, 3 property failures
    (discipline errors, checksum mismatches, wrong results), 4 formal
    PMC-model inconsistency. *)
@@ -507,7 +507,7 @@ let pp_row ppf (r : litmus_row) =
 let pp ppf (t : t) =
   match t with
   | Litmus_outcomes rows ->
-      (* the per-program section of litmus_run's default output *)
+      (* the per-program section of pmc litmus's default output *)
       (match rows with
       | [] -> ()
       | r0 :: _ -> Fmt.pf ppf "--- %s ---@." r0.program);
@@ -529,13 +529,13 @@ let pp ppf (t : t) =
         m.Measure.dcache_misses m.Measure.instructions
         (Json.to_compact (Json.float m.Measure.utilization))
   | Chaos_soaked r ->
-      (* identical to pmc_chaos run's report *)
+      (* identical to pmc chaos run's report *)
       Fmt.pf ppf "%a@.%a@.trace: %d events captured, %d dropped@."
         Pmc_apps.Chaos.pp_report r Pmc_apps.Chaos.pp_tag_summary
         r.Pmc_apps.Chaos.faults r.Pmc_apps.Chaos.events
         r.Pmc_apps.Chaos.dropped
   | Crash_checked r ->
-      (* identical to pmc_chaos crash's per-experiment report *)
+      (* identical to pmc chaos crash's per-experiment report *)
       Fmt.pf ppf "%a@.trace: %d events captured, %d dropped@."
         Pmc_apps.Crash.pp_report r r.Pmc_apps.Crash.events
         r.Pmc_apps.Crash.dropped

@@ -19,7 +19,7 @@ type check_report = {
   errors : string list;
   warnings : string list;
   text : string;
-      (** the exact bytes [pmc_check] prints for this program (check
+      (** the exact bytes [pmc check] prints for this program (check
           report + Table-II expansion) *)
 }
 
@@ -51,7 +51,7 @@ type t =
   | Error of error
 
 val exit_code : t -> int
-(** The pmc_demo convention: 0 success; 2 input/budget/runtime error;
+(** The exit-code convention of every pmc subcommand: 0 success; 2 input/budget/runtime error;
     3 property failure (discipline errors, checksum mismatch, wrong
     result); 4 formal PMC-model inconsistency. *)
 
@@ -73,8 +73,8 @@ val of_json : Pmc_bench.Json.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Renders exactly the bytes the corresponding one-shot CLI prints:
-    litmus_run's per-program section, pmc_check's report text,
-    pmc_chaos run's report — which is what lets CI diff daemon answers
+    [pmc litmus]'s per-program section, [pmc check]'s report text,
+    [pmc chaos run]'s report — which is what lets CI diff daemon answers
     against the CLIs. *)
 
 val pp_row : Format.formatter -> litmus_row -> unit

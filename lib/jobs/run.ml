@@ -1,7 +1,7 @@
 (* Job execution: the pure function from (job, budget) to result.
 
-   This is the command logic that used to be inlined in litmus_run,
-   pmc_check, pmc_bench and pmc_chaos, factored to where both the
+   This is the command logic that used to be inlined in the litmus,
+   check, bench and chaos commands, factored to where both the
    one-shot CLIs and the pmc_serve daemon can call it.  [run] never
    raises — every failure mode becomes a typed [Result.Error] — and
    never touches the filesystem, the clock or global mutable state
@@ -99,11 +99,15 @@ let find_topology name ~cores k =
   | Ok t -> k t
   | Error e -> bad "%s" e
 
-let check_geometry ~cores ~scale k =
+let check_geometry ~cores ~scale =
   if cores < 1 || cores > 1024 then
-    bad "cores must be in [1, 1024] (got %d)" cores
-  else if scale < 1 then bad "scale must be >= 1 (got %d)" scale
-  else k ()
+    Error (Printf.sprintf "cores must be in [1, 1024] (got %d)" cores)
+  else if scale < 1 then
+    Error (Printf.sprintf "scale must be >= 1 (got %d)" scale)
+  else Ok ()
+
+let geometry ~cores ~scale k =
+  match check_geometry ~cores ~scale with Ok () -> k () | Error e -> bad "%s" e
 
 (* ---------------- per-kind execution ---------------- *)
 
@@ -159,7 +163,7 @@ let run_check (c : Job.check) : Result.t =
         }
   | Ok program ->
       let report = Pmc_compile.Check.check program in
-      (* the exact bytes pmc_check prints: check report, Table-II
+      (* the exact bytes pmc check prints: check report, Table-II
          expansion, blank line *)
       let text =
         Fmt.str "%a%a@."
@@ -186,7 +190,7 @@ let run_check (c : Job.check) : Result.t =
 let run_bench ~budget (b : Job.bench) : Result.t =
   find_backend b.Job.backend @@ fun backend ->
   find_topology b.Job.topology ~cores:b.Job.cores @@ fun topology ->
-  check_geometry ~cores:b.Job.cores ~scale:b.Job.scale @@ fun () ->
+  geometry ~cores:b.Job.cores ~scale:b.Job.scale @@ fun () ->
   if b.Job.repeat < 1 then bad "repeat must be >= 1 (got %d)" b.Job.repeat
   else if b.Job.warmup < 0 then bad "warmup must be >= 0 (got %d)" b.Job.warmup
   else
@@ -227,7 +231,7 @@ let run_bench ~budget (b : Job.bench) : Result.t =
 let run_chaos ~budget (c : Job.chaos) : Result.t =
   find_backend c.Job.c_backend @@ fun backend ->
   find_topology c.Job.c_topology ~cores:c.Job.c_cores @@ fun topology ->
-  check_geometry ~cores:c.Job.c_cores ~scale:c.Job.c_scale @@ fun () ->
+  geometry ~cores:c.Job.c_cores ~scale:c.Job.c_scale @@ fun () ->
   match Pmc_apps.Registry.find c.Job.c_app with
   | None ->
       bad "unknown app %S (known: %s)" c.Job.c_app
@@ -244,7 +248,7 @@ let run_chaos ~budget (c : Job.chaos) : Result.t =
 let run_crash (c : Job.crash) : Result.t =
   find_backend c.Job.x_backend @@ fun backend ->
   find_topology c.Job.x_topology ~cores:c.Job.x_cores @@ fun topology ->
-  check_geometry ~cores:c.Job.x_cores ~scale:c.Job.x_scale @@ fun () ->
+  geometry ~cores:c.Job.x_cores ~scale:c.Job.x_scale @@ fun () ->
   if backend <> Pmc.Backends.Farmem then
     bad "chaos-crash requires the farmem backend (got %S)" c.Job.x_backend
   else if c.Job.x_window < 1 then

@@ -56,6 +56,10 @@ val crash_wall :
 
 (** {1 Name resolution} — shared by the CLIs and the daemon *)
 
+val check_geometry : cores:int -> scale:int -> (unit, string) Stdlib.result
+(** The machine bounds every simulation job is checked against: cores in
+    [[1, 1024]], scale at least 1.  [Error] carries the message. *)
+
 val standard_programs : (string * Pmc_model.Lprog.t) list
 (** The standard litmus programs keyed by CLI-friendly slug
     (["mp_plain"], ["sb"], ...). *)

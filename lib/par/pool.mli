@@ -8,7 +8,7 @@
 
     A pool of width 1 spawns no domains and runs every map inline — it
     {e is} the sequential map.  This is what backs the [--jobs N] flags
-    of [pmc_bench], [pmc_chaos], [litmus_run] and [pmc_check]: the
+    of [pmc bench run], [pmc chaos], [pmc litmus] and [pmc check]: the
     default [--jobs 1] is bit-for-bit today's behaviour, and [--jobs N]
     must only change wall-clock time, never output.
 

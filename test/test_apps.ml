@@ -61,7 +61,19 @@ let test_core_count_invariance () =
       Alcotest.(check bool)
         (Printf.sprintf "radiosity correct on %d cores" cores)
         true (Pmc_apps.Runner.ok r))
-    [ 1; 2; 4; 16; 32 ]
+    [ 1; 2; 4; 16; 32 ];
+  (* streaming needs a core per stage (source, filter, sink): below three
+     cores it is a typed error, not a discipline or spawn failure *)
+  List.iter
+    (fun cores ->
+      let cfg = { Config.default with cores } in
+      match
+        Pmc_apps.Runner.run ~cfg Pmc_apps.Streaming.app
+          ~backend:Pmc.Backends.Dsm ~scale:8
+      with
+      | _ -> Alcotest.failf "streaming ran on %d cores" cores
+      | exception Pmc_error.Error _ -> ())
+    [ 1; 2 ]
 
 (* The Fig. 8 relation: SWCC beats no-CC on all three SPLASH-2-like
    kernels, utilization rises, and flush overhead stays small. *)

@@ -15,15 +15,16 @@
    checker: whatever timing a back-end produces, the observable values must
    be explainable by the model.
 
-   Two implementations coexist.  [check] is incremental: it never builds
-   the execution DAG (whose Table-I edge sets grow quadratically with the
-   history) and instead carries per-(process, location) write frontiers
-   across events, so an n-event history replays in roughly
-   O(n · procs² · locs) int operations and O(procs² · locs) live state.
-   [check_reference] is the original definition — issue every event
-   through [Execution.execute] and answer each read with
-   [Observe.readable_writes] — kept as the executable specification the
-   qcheck equivalence properties compare against. *)
+   [check] is incremental: it never builds the execution DAG (whose
+   Table-I edge sets grow quadratically with the history) and instead
+   carries sparse write frontiers across events — one count per written
+   (writer, location) slot, per-location segments, one shared observer
+   row plus the writers' own view — so an event costs time and memory in
+   the writers of the location it touches (the bounds are stated with
+   the checker below).  The original definition
+   — issue every event through [Execution.execute] and answer each read
+   with [Observe.readable_writes] — lives in the test suite as the
+   oracle the qcheck equivalence properties compare against. *)
 
 type event =
   | E_read of { proc : int; loc : int; value : int }
@@ -62,98 +63,6 @@ type report = { violations : violation list }
 
 let ok report = report.violations = []
 
-type full_report = { exec : Execution.t; full_violations : violation list }
-
-let full_ok r = r.full_violations = []
-
-(* ------------------------------------------------------------------ *)
-(* The reference checker: the executable specification.                *)
-(* ------------------------------------------------------------------ *)
-
-(* [writes_seen] remembers, per (proc, loc), the id of the write the last
-   read of that proc/loc observed, for the monotonicity check. *)
-let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
-    ~procs ~locs (events : event list) : full_report =
-  let exec = Execution.create ~init ~procs ~locs () in
-  let holder = Array.make locs None in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  let writes_seen = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | E_fence { proc } -> ignore (Execution.fence exec ~proc)
-      | E_acquire { proc; loc } ->
-          (match holder.(loc) with
-          | Some h -> add (Double_acquire { loc; holder = h; proc })
-          | None -> ());
-          holder.(loc) <- Some proc;
-          ignore (Execution.acquire exec ~proc ~loc)
-      | E_release { proc; loc } ->
-          (match holder.(loc) with
-          | Some h when h = proc -> holder.(loc) <- None
-          | _ -> add (Release_not_held { loc; proc }));
-          ignore (Execution.release exec ~proc ~loc)
-      | E_acquire_ro { proc; loc } ->
-          (* read-only entry: synchronizes with the last exclusive release
-             of the location (the same Table-I acquire edges) but takes no
-             lock, so any number may be held concurrently *)
-          ignore (Execution.acquire exec ~proc ~loc)
-      | E_release_ro { proc; loc } ->
-          (* read-only exit: later exclusive acquires are ≺S-after it
-             (writers wait for readers), with no holder bookkeeping *)
-          ignore (Execution.release exec ~proc ~loc)
-      | E_write { proc; loc; value } ->
-          if require_locked_writes && holder.(loc) <> Some proc then
-            add
-              (Write_outside_lock
-                 { op = { id = -1; kind = Op.Write; proc; loc; value } });
-          ignore (Execution.write exec ~proc ~loc ~value)
-      | E_read { proc; loc; value } ->
-          let o = Execution.read exec ~proc ~loc ~value in
-          let readable = Observe.readable_writes exec o in
-          (match
-             List.filter (fun (w : Op.t) -> w.Op.value = value) readable
-           with
-          | [] ->
-              add
-                (Unreadable_value
-                   {
-                     op = o;
-                     readable =
-                       List.sort_uniq compare
-                         (List.map (fun (w : Op.t) -> w.Op.value) readable);
-                   })
-          | ws ->
-              (* Monotonicity: the newly observed write must not be ordered
-                 strictly before the one the previous read observed. *)
-              let key = (proc, loc) in
-              (match Hashtbl.find_opt writes_seen key with
-              | Some prev_write_id
-                when
-                  (* one backward pass from the previously observed write
-                     answers w ≺ prev for every candidate at once *)
-                  let anc_prev =
-                    Order.ancestors (Order.View proc) exec prev_write_id
-                  in
-                  List.for_all
-                    (fun (w : Op.t) -> anc_prev.(w.Op.id))
-                    ws ->
-                  add
-                    (Non_monotonic_reads
-                       {
-                         first = Execution.op exec prev_write_id;
-                         second = o;
-                       })
-              | _ -> ());
-              (* Remember the oldest candidate conservatively. *)
-              (match ws with
-              | w :: _ -> Hashtbl.replace writes_seen key w.Op.id
-              | [] -> ())))
-    events;
-  if not (Order.is_acyclic exec) then add Cyclic_order;
-  { exec; full_violations = List.rev !violations }
-
 (* ------------------------------------------------------------------ *)
 (* The incremental checker.                                            *)
 (* ------------------------------------------------------------------ *)
@@ -162,40 +71,86 @@ let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
    write gains a Program edge from all earlier writes of its (proc, loc)
    bucket), so "which writes to v precede operation x" is always
    per-writer prefix-closed and can be carried as a frontier: one count
-   per (writer, location) slot.  A frontier row is a flat [procs·locs]
-   int array; joining two rows is an elementwise max.
+   per (writer, location) slot.  Joining two frontiers is an elementwise
+   max.
 
    The Table-I rules draw an edge into a new operation from *every*
    previous member of a (kind, proc, loc) bucket, so the down-set of a
    new operation is exactly the union of the accumulated down-sets of the
    buckets its rules match.  The checker keeps one running frontier per
-   bucket actually consumed by some rule.  Edge kinds are observer-
-   filtered: a [Local p] edge is visible only under View p, and every
-   local edge into an operation carries the label of the operation's own
-   process, so a bucket consumed only through local edges needs just the
-   one observer row:
+   bucket actually consumed by some rule:
 
-     cw.(p·locs+v)   writes   (w,p,v) — into (p,v) ops via ≺P/≺ℓ
-     ca.(p·locs+v)   acquires (A,p,v) — into (p,v) ops via ≺P/≺ℓ
-     cr.(p·locs+v)   reads    (r,p,v) — via ≺ℓ only: observer-p row only
+     cw.(p·locs+v)   writes   (w,p,v) — into (p,v) ops
+     ca.(p·locs+v)   acquires (A,p,v) — into (p,v) ops
      s.(v)           releases (R,∗,v) — into acquires of v via ≺S
      fc.(p)          fences of p — into (w|R|A) of p via ≺F
-     fj_ar.(p)       acquires/releases of p — into fences of p via ≺F
-     fj_rw.(p)       reads/writes of p — into fences via ≺ℓ: observer-p
-                     row only
+     fj.(p)          acquires/releases of p — into fences of p via ≺F
+
+   Three facts keep the frontiers small.
+
+   Only written slots matter: a slot (q, v) is nonzero only if q writes
+   v, so a pre-pass numbers the written (writer, location) pairs, grouped
+   by location, and frontiers cover those slots only.  A location nobody
+   writes (lock-only, read-only) has no slots at all.
+
+   Locations mix only through fences: every join but the ≺F ones is
+   between buckets of one location, and reads and writes query only
+   their own location's slots.  So a bucket of location v stores a
+   segment over v's writers plus, per process p, the newest snapshot of
+   fc.(p) it has absorbed (whose v-part is folded into the segment at
+   absorption).  Only fc, fj and the fence snapshots span every slot,
+   and they exist only for processes that fence.
+
+   Observers differ only on their own slots: an edge kind [Local p] is
+   visible only under View p, and every local edge carries the acting
+   process's own operations.  The ≺ℓ edges of a read into later (p, v)
+   operations add nothing a frontier lacks (the same write and acquire
+   frontiers reach those operations through ≺P, and a write's own slot
+   dominates what an earlier read saw of it); the ≺ℓ edges of p's reads
+   and writes into p's fences add, under View p, exactly p's own writes.
+   So the row of observer r is U at slots of other writers and O at
+   r's own slots, where U is the frontier no local edge touched and
+   O ⊒ U the one each slot's own writer sees — two entries per slot
+   instead of one per observer.
+
+   A read costs O(w² · log n) for w writers of its location, a write,
+   acquire or release O(w), plus O(procs) for the fence-snapshot vector
+   once fences exist, and a fence O(procs · slots).  Live state is the
+   (proc, loc) index, O(w) per touched bucket and per write, and one
+   slots-wide row per process that fences and per fence snapshot still
+   referenced.
 
    The initial operation of each location needs no slot: it precedes
    every read and write of its location under every relation and nothing
    precedes it, so the query sites special-case it instead. *)
 
+(* A frontier of fc.(p) as of one of p's fences, over every slot. *)
+type snap = {
+  ep : int;  (* creation order; 0 only for [snap0] *)
+  row : int array;  (* U over all slots, then O over all slots *)
+  seen : snap array;  (* per process, the newest snapshot folded in *)
+}
+
+let snap0 = { ep = 0; row = [||]; seen = [||] }
+
+type bucket = {
+  seg : int array;
+      (* U over the location's writers, then O; for [fj], over all slots *)
+  mutable fcs : snap array;
+      (* per process, the newest fence snapshot absorbed; [||] if none *)
+}
+
+let no_bucket = { seg = [||]; fcs = [||] }
+
 type wrec = {
   w_id : int;  (* operation id, for violation reports *)
   w_proc : int;
+  w_k : int;  (* the writer's rank among its location's writers *)
   w_index : int;  (* 1-based rank in the (proc, loc) write chain *)
   w_value : int;
   w_before : int array;
-      (* (observer r, writer q) -> number of (q, loc) writes strictly
-         before this one under View r; procs² entries, observer-major *)
+      (* the write's (p, v) frontier just before it: per writer of v, the
+         number of its writes strictly before this one, U then O *)
 }
 
 (* Tiny growable array (OCaml 5.1 has no Dynarray). *)
@@ -213,44 +168,130 @@ let vec_push v x =
   v.len <- v.len + 1
 
 (* What the previous read of a (proc, loc) pair observed. *)
-type prev_obs = P_init | P_write of wrec
+type prev_obs = P_none | P_init | P_write of wrec
 
 let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
     (events : event list) : report =
   if procs < 1 then invalid_arg "History.check: bad process count";
   if locs < 1 then invalid_arg "History.check: bad location count";
   let pl = procs * locs in
-  let fresh_rows () = Array.init procs (fun _ -> Array.make pl 0) in
-  let no_rows : int array array = [||] in
-  let no_row : int array = [||] in
-  (* frontier state; the per-(proc, loc) entries are allocated on first
-     touch so untouched pairs cost one pointer *)
-  let cw = Array.make pl no_rows in
-  let ca = Array.make pl no_rows in
-  let cr = Array.make pl no_row in
-  let s = Array.make locs no_rows in
-  let fc = Array.init procs (fun _ -> fresh_rows ()) in
-  let fj_ar = Array.init procs (fun _ -> fresh_rows ()) in
-  let fj_rw = Array.init procs (fun _ -> Array.make pl 0) in
-  let rows_of tbl i =
-    if tbl.(i) == no_rows then tbl.(i) <- fresh_rows ();
-    tbl.(i)
+  (* pre-pass: the written (writer, location) pairs and the processes
+     that fence; out-of-range events are left to the main pass to reject *)
+  let kslot = Array.make pl (-1) in
+  let fences = Array.make procs false in
+  List.iter
+    (function
+      | E_write { proc; loc; _ }
+        when proc >= 0 && proc < procs && loc >= 0 && loc < locs ->
+          kslot.((proc * locs) + loc) <- 0
+      | E_fence { proc } when proc >= 0 && proc < procs ->
+          fences.(proc) <- true
+      | _ -> ())
+    events;
+  (* slots grouped by location: v's writers are slots base.(v) ..
+     base.(v)+width.(v)-1, in process order; kslot.(p·locs+v) becomes
+     p's rank among them, or stays -1 *)
+  let width = Array.make locs 0 and base = Array.make locs 0 in
+  let nslots = ref 0 in
+  for v = 0 to locs - 1 do
+    base.(v) <- !nslots;
+    for p = 0 to procs - 1 do
+      let pv = (p * locs) + v in
+      if kslot.(pv) >= 0 then begin
+        kslot.(pv) <- width.(v);
+        width.(v) <- width.(v) + 1
+      end
+    done;
+    nslots := !nslots + width.(v)
+  done;
+  let nslots = !nslots in
+  (* each process's own slots, for the ≺ℓ part of its fences *)
+  let own_slots =
+    Array.init procs (fun p ->
+        if not fences.(p) then [||]
+        else
+          let acc = ref [] in
+          for v = locs - 1 downto 0 do
+            let k = kslot.((p * locs) + v) in
+            if k >= 0 then acc := (base.(v) + k) :: !acc
+          done;
+          Array.of_list !acc)
   in
-  let row_of tbl i =
-    if tbl.(i) == no_row then tbl.(i) <- Array.make pl 0;
-    tbl.(i)
+  (* frontier state; buckets are allocated on first touch so untouched
+     pairs cost one pointer *)
+  let cw = Array.make pl no_bucket in
+  let ca = Array.make pl no_bucket in
+  let s = Array.make locs no_bucket in
+  let fc = Array.make procs snap0 in
+  let fj =
+    Array.init procs (fun p ->
+        if fences.(p) then { seg = Array.make (2 * nslots) 0; fcs = [||] }
+        else no_bucket)
   in
-  let join (dst : int array) (src : int array) =
-    for i = 0 to pl - 1 do
-      if src.(i) > dst.(i) then dst.(i) <- src.(i)
-    done
+  let epoch = ref 0 in
+  let bucket tbl i v =
+    let b = tbl.(i) in
+    if b != no_bucket then b
+    else begin
+      let b = { seg = Array.make (2 * width.(v)) 0; fcs = [||] } in
+      tbl.(i) <- b;
+      b
+    end
   in
-  (* write registries: per (proc, loc) chain and per location, issue order *)
-  let chains = Array.init pl (fun _ -> vec_make ()) in
+  let join_fcs (dst : bucket) (src : snap array) =
+    if Array.length src > 0 then
+      if Array.length dst.fcs = 0 then dst.fcs <- Array.copy src
+      else
+        let d = dst.fcs in
+        for p = 0 to procs - 1 do
+          if src.(p).ep > d.(p).ep then d.(p) <- src.(p)
+        done
+  in
+  (* dst ⊔= src, two buckets of one location *)
+  let join (dst : bucket) (src : bucket) =
+    if src != no_bucket then begin
+      let a = dst.seg and b = src.seg in
+      for i = 0 to Array.length a - 1 do
+        if b.(i) > a.(i) then a.(i) <- b.(i)
+      done;
+      join_fcs dst src.fcs
+    end
+  in
+  (* dst ⊔= fc.(p), dst a bucket of location v *)
+  let absorb (dst : bucket) p v =
+    let f = fc.(p) in
+    if f != snap0 && (Array.length dst.fcs = 0 || dst.fcs.(p) != f) then begin
+      let w = width.(v) and b = base.(v) in
+      let a = dst.seg and row = f.row in
+      for k = 0 to w - 1 do
+        if row.(b + k) > a.(k) then a.(k) <- row.(b + k);
+        let o = row.(nslots + b + k) in
+        if o > a.(w + k) then a.(w + k) <- o
+      done;
+      if Array.length dst.fcs = 0 then dst.fcs <- Array.make procs snap0;
+      dst.fcs.(p) <- f
+    end
+  in
+  (* fj.(p) ⊔= src, a bucket of location v; only fences read fj *)
+  let to_fence p v (src : bucket) =
+    if fences.(p) && src != no_bucket then begin
+      let dst = fj.(p) in
+      let row = dst.seg and w = width.(v) and b = base.(v) in
+      let a = src.seg in
+      for k = 0 to w - 1 do
+        if a.(k) > row.(b + k) then row.(b + k) <- a.(k);
+        if a.(w + k) > row.(nslots + b + k) then
+          row.(nslots + b + k) <- a.(w + k)
+      done;
+      join_fcs dst src.fcs
+    end
+  in
+  (* write registries: per slot chain and per location, issue order *)
+  let chains = Array.init nslots (fun _ -> vec_make ()) in
   let by_loc = Array.init locs (fun _ -> vec_make ()) in
   (* lock and monotonicity bookkeeping, as in the reference *)
   let holder = Array.make locs None in
-  let writes_seen : (int * int, prev_obs) Hashtbl.t = Hashtbl.create 16 in
+  let writes_seen = Array.make pl P_none in
   let violations = ref [] in
   let add v = violations := v :: !violations in
   let next_id = ref locs in
@@ -261,58 +302,61 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
 
   let do_read proc loc value id =
     let pv = (proc * locs) + loc in
+    let w = width.(loc) and b0 = base.(loc) in
     let cw_pv = cw.(pv) and ca_pv = ca.(pv) in
+    (* where View proc reads writer k's count in a segment: O at its own
+       slot, U elsewhere *)
+    let own = kslot.(pv) in
+    let col k = if k = own then w + k else k in
     (* before-writes frontier of this read at its own location: per
-       writer q, how many (q, loc) writes precede it under View proc *)
+       writer k, how many of its writes precede the read under View proc
+       (segments of never-touched buckets are empty) *)
     let frontier =
-      Array.init procs (fun q ->
-          let a =
-            if cw_pv == no_rows then 0 else cw_pv.(proc).((q * locs) + loc)
-          in
-          let b =
-            if ca_pv == no_rows then 0 else ca_pv.(proc).((q * locs) + loc)
-          in
+      Array.init w (fun k ->
+          let c = col k in
+          let a = if cw_pv == no_bucket then 0 else cw_pv.seg.(c) in
+          let b = if ca_pv == no_bucket then 0 else ca_pv.seg.(c) in
           max a b)
     in
     let lw_is_init = Array.for_all (fun n -> n = 0) frontier in
-    let lw_last q = chains.((q * locs) + loc).arr.(frontier.(q) - 1) in
+    let lw_last k = chains.(b0 + k).arr.(frontier.(k) - 1) in
     (* last writes: the newest write of each non-empty per-writer prefix,
-       minus the dominated ones (q's is dominated iff another writer's
+       minus the dominated ones (k's is dominated iff another writer's
        newest already counts it among its own befores) *)
-    let is_lw q =
-      frontier.(q) > 0
+    let is_lw k =
+      frontier.(k) > 0
       &&
       let dominated = ref false in
-      for q' = 0 to procs - 1 do
-        if (not !dominated) && q' <> q && frontier.(q') > 0 then
-          if (lw_last q').w_before.((proc * procs) + q) >= frontier.(q) then
-            dominated := true
+      let c = col k in
+      for k' = 0 to w - 1 do
+        if (not !dominated) && k' <> k && frontier.(k') > 0 then
+          if (lw_last k').w_before.(c) >= frontier.(k) then dominated := true
       done;
       not !dominated
     in
-    let lw = Array.init procs is_lw in
+    let lw = Array.init w is_lw in
     (* b is readable iff some last write precedes-or-equals it (Def. 12);
        when the only last write is the initial operation, every write
        issued so far is readable.  Within one writer chain the count
-       [w_before.(proc·procs+q)] is monotone (the bucket frontier it was
-       snapshotted from only grows), so for each last write q the
+       [w_before.(col k)] is monotone (the bucket frontier it was
+       snapshotted from only grows), so for each last write k the
        readable part of each chain is a suffix, found by binary search;
-       the union over q is the suffix from the minimum start.  A last
+       the union over k is the suffix from the minimum start.  A last
        write's own chain is special: the element at index
-       [frontier.(q)-1] is the last write itself, readable by identity,
+       [frontier.(k)-1] is the last write itself, readable by identity,
        and contiguous with its chain's suffix.  After this, "is b
        readable" is one index comparison. *)
-    let starts = Array.make procs max_int in
-    if lw_is_init then Array.fill starts 0 procs 0
+    let starts = Array.make w max_int in
+    if lw_is_init then Array.fill starts 0 w 0
     else
-      for q' = 0 to procs - 1 do
-        let c = chains.((q' * locs) + loc) in
+      for k' = 0 to w - 1 do
+        let c = chains.(b0 + k') in
         let s = ref max_int in
-        for q = 0 to procs - 1 do
-          if lw.(q) then
-            if q = q' then s := min !s (frontier.(q') - 1)
+        for k = 0 to w - 1 do
+          if lw.(k) then
+            if k = k' then s := min !s (frontier.(k') - 1)
             else begin
-              let tgt = frontier.(q) and off = (proc * procs) + q in
+              let tgt = frontier.(k) and off = col k in
               let lo = ref 0 and hi = ref c.len in
               while !lo < !hi do
                 let mid = (!lo + !hi) / 2 in
@@ -322,9 +366,9 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
               s := min !s !lo
             end
         done;
-        starts.(q') <- !s
+        starts.(k') <- !s
       done;
-    let readable (b : wrec) = b.w_index - 1 >= starts.(b.w_proc) in
+    let readable (b : wrec) = b.w_index - 1 >= starts.(b.w_k) in
     let ws = by_loc.(loc) in
     let init_candidate = lw_is_init && init loc = value in
     (* oldest readable write carrying the observed value: per chain the
@@ -333,9 +377,9 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
        they pass the best id found so far *)
     let oldest = ref None in
     let best_id = ref max_int in
-    for q' = 0 to procs - 1 do
-      let c = chains.((q' * locs) + loc) in
-      let i = ref starts.(q') in
+    for k' = 0 to w - 1 do
+      let c = chains.(b0 + k') in
+      let i = ref starts.(k') in
       let scanning = ref true in
       while !scanning && !i < c.len do
         let b = c.arr.(!i) in
@@ -351,9 +395,9 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
     if (not init_candidate) && !oldest = None then begin
       (* unreadable: collect the full readable value set for the report *)
       let values = ref (if lw_is_init then [ init loc ] else []) in
-      for q' = 0 to procs - 1 do
-        let c = chains.((q' * locs) + loc) in
-        for j = starts.(q') to c.len - 1 do
+      for k' = 0 to w - 1 do
+        let c = chains.(b0 + k') in
+        for j = starts.(k') to c.len - 1 do
           values := c.arr.(j).w_value :: !values
         done
       done;
@@ -365,8 +409,8 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
            })
     end
     else begin
-      (match Hashtbl.find_opt writes_seen (proc, loc) with
-      | Some (P_write pw) ->
+      (match writes_seen.(pv) with
+      | P_write pw ->
           (* violation iff every candidate is strictly View-proc-before
              the previously observed write.  The initial operation, when
              a candidate, precedes every real write, so it cannot break
@@ -377,8 +421,8 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
           while !all_before && !j >= 0 do
             let b = ws.arr.(!j) in
             if b.w_value = value && readable b then
-              if not (pw.w_before.((proc * procs) + b.w_proc) >= b.w_index)
-              then all_before := false;
+              if not (pw.w_before.(col b.w_k) >= b.w_index) then
+                all_before := false;
             decr j
           done;
           if !all_before then
@@ -395,20 +439,13 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
                      };
                    second = { id; kind = Op.Read; proc; loc; value };
                  })
-      | Some P_init | None -> ());
+      | P_init | P_none -> ());
       (* remember the oldest candidate conservatively *)
-      (match (init_candidate, !oldest) with
-      | true, _ -> Hashtbl.replace writes_seen (proc, loc) P_init
-      | false, Some b -> Hashtbl.replace writes_seen (proc, loc) (P_write b)
-      | false, None -> ())
-    end;
-    (* propagation: the read's down-set (under its own view only — all
-       its in-edges are local) feeds later (proc, loc) operations and
-       later fences of proc *)
-    let crr = row_of cr pv in
-    if cw_pv != no_rows then join crr cw_pv.(proc);
-    if ca_pv != no_rows then join crr ca_pv.(proc);
-    join fj_rw.(proc) crr
+      match (init_candidate, !oldest) with
+      | true, _ -> writes_seen.(pv) <- P_init
+      | false, Some b -> writes_seen.(pv) <- P_write b
+      | false, None -> ()
+    end
   in
 
   let do_write proc loc value id =
@@ -417,30 +454,20 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
         (Write_outside_lock
            { op = { id = -1; kind = Op.Write; proc; loc; value } });
     let pv = (proc * locs) + loc in
-    let rows = rows_of cw pv in
-    let ca_pv = ca.(pv) and cr_pv = cr.(pv) in
-    for r = 0 to procs - 1 do
-      let dst = rows.(r) in
-      if ca_pv != no_rows then join dst ca_pv.(r);
-      join dst fc.(proc).(r)
-    done;
-    if cr_pv != no_row then join rows.(proc) cr_pv;
-    (* the write's own strictly-before counts, per (observer, writer) *)
-    let before = Array.make (procs * procs) 0 in
-    for r = 0 to procs - 1 do
-      for q = 0 to procs - 1 do
-        before.((r * procs) + q) <- rows.(r).((q * locs) + loc)
-      done
-    done;
-    let idx = chains.(pv).len + 1 in
-    let w = { w_id = id; w_proc = proc; w_index = idx; w_value = value;
-              w_before = before } in
-    vec_push chains.(pv) w;
+    let b = bucket cw pv loc in
+    join b ca.(pv);
+    absorb b proc loc;
+    let k = kslot.(pv) in
+    let chain = chains.(base.(loc) + k) in
+    let idx = chain.len + 1 in
+    let w =
+      { w_id = id; w_proc = proc; w_k = k; w_index = idx; w_value = value;
+        w_before = Array.copy b.seg }
+    in
+    vec_push chain w;
     vec_push by_loc.(loc) w;
-    for r = 0 to procs - 1 do
-      rows.(r).(pv) <- idx
-    done;
-    join fj_rw.(proc) rows.(proc)
+    b.seg.(k) <- idx;
+    b.seg.(width.(loc) + k) <- idx
   in
 
   let do_acquire ~ro proc loc =
@@ -451,53 +478,77 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
       holder.(loc) <- Some proc
     end;
     let pv = (proc * locs) + loc in
-    let rows = rows_of ca pv in
-    let s_v = s.(loc) and cr_pv = cr.(pv) in
-    for r = 0 to procs - 1 do
-      let dst = rows.(r) in
-      if s_v != no_rows then join dst s_v.(r);
-      join dst fc.(proc).(r)
-    done;
-    if cr_pv != no_row then join rows.(proc) cr_pv;
-    for r = 0 to procs - 1 do
-      join fj_ar.(proc).(r) rows.(r)
-    done
+    let b = bucket ca pv loc in
+    join b s.(loc);
+    absorb b proc loc;
+    to_fence proc loc b
   in
 
   let do_release ~ro proc loc =
-    if not ro then
+    if not ro then (
       match holder.(loc) with
       | Some h when h = proc -> holder.(loc) <- None
-      | _ -> add (Release_not_held { loc; proc })
-  in
-  let do_release_common proc loc =
+      | _ -> add (Release_not_held { loc; proc }));
     let pv = (proc * locs) + loc in
-    let cw_pv = cw.(pv) and ca_pv = ca.(pv) and cr_pv = cr.(pv) in
-    let s_v = rows_of s loc in
-    for r = 0 to procs - 1 do
-      let sv = s_v.(r) and fj = fj_ar.(proc).(r) in
-      if cw_pv != no_rows then begin
-        join sv cw_pv.(r);
-        join fj cw_pv.(r)
-      end;
-      if ca_pv != no_rows then begin
-        join sv ca_pv.(r);
-        join fj ca_pv.(r)
-      end;
-      join sv fc.(proc).(r);
-      join fj fc.(proc).(r)
-    done;
-    if cr_pv != no_row then begin
-      join s_v.(proc) cr_pv;
-      join fj_ar.(proc).(proc) cr_pv
-    end
+    let sv = bucket s loc loc in
+    join sv cw.(pv);
+    join sv ca.(pv);
+    absorb sv proc loc;
+    (* fc.(proc) itself needs no forwarding: the fence it would reach
+       already contains it *)
+    to_fence proc loc cw.(pv);
+    to_fence proc loc ca.(pv)
   in
 
-  let do_fence proc =
-    for r = 0 to procs - 1 do
-      join fc.(proc).(r) fj_ar.(proc).(r)
-    done;
-    join fc.(proc).(proc) fj_rw.(proc)
+  (* fc.(p) ⊔= fj.(p), and under View p every write of p so far; a new
+     snapshot only when the frontier actually grew *)
+  let do_fence p =
+    let old = fc.(p) and j = fj.(p) in
+    let row =
+      if old == snap0 then Array.make (2 * nslots) 0 else Array.copy old.row
+    in
+    let seen =
+      if old == snap0 then Array.make procs snap0 else Array.copy old.seen
+    in
+    let grew = ref false in
+    let raise_to (src : int array) =
+      for i = 0 to (2 * nslots) - 1 do
+        if src.(i) > row.(i) then begin
+          row.(i) <- src.(i);
+          grew := true
+        end
+      done
+    in
+    raise_to j.seg;
+    (* other processes' snapshots, newest first: a newer one usually
+       includes the older ones, which its [seen] then lets us skip *)
+    let newer = ref [] in
+    Array.iteri
+      (fun q sn ->
+        if q <> p && sn.ep > seen.(q).ep then newer := (q, sn) :: !newer)
+      j.fcs;
+    List.iter
+      (fun (q, sn) ->
+        if sn.ep > seen.(q).ep then begin
+          raise_to sn.row;
+          for q' = 0 to procs - 1 do
+            if sn.seen.(q').ep > seen.(q').ep then seen.(q') <- sn.seen.(q')
+          done;
+          seen.(q) <- sn
+        end)
+      (List.sort (fun (_, a) (_, b) -> compare b.ep a.ep) !newer);
+    Array.iter
+      (fun sl ->
+        let n = chains.(sl).len in
+        if n > row.(nslots + sl) then begin
+          row.(nslots + sl) <- n;
+          grew := true
+        end)
+      own_slots.(p);
+    if !grew then begin
+      incr epoch;
+      fc.(p) <- { ep = !epoch; row; seen }
+    end
   in
 
   List.iter
@@ -516,12 +567,10 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
           do_acquire ~ro:true proc loc
       | E_release { proc; loc } ->
           check_bounds proc loc;
-          do_release ~ro:false proc loc;
-          do_release_common proc loc
+          do_release ~ro:false proc loc
       | E_release_ro { proc; loc } ->
           check_bounds proc loc;
-          do_release ~ro:true proc loc;
-          do_release_common proc loc
+          do_release ~ro:true proc loc
       | E_write { proc; loc; value } ->
           check_bounds proc loc;
           do_write proc loc value id

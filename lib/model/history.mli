@@ -47,23 +47,15 @@ val check :
 
     This is the incremental checker: it never materializes the execution
     DAG (whose Table-I edge sets grow quadratically with the history) and
-    instead carries per-(process, location) write frontiers across
-    events, so an n-event history replays in roughly O(n · procs² · locs)
-    int operations.  It reports exactly the violations, in exactly the
-    order, that {!check_reference} would. *)
-
-type full_report = { exec : Execution.t; full_violations : violation list }
-(** {!check_reference}'s result: the violations plus the execution DAG it
-    built, for callers that want to run further {!Observe} queries. *)
-
-val full_ok : full_report -> bool
-
-val check_reference :
-  ?require_locked_writes:bool -> ?init:(int -> int) -> procs:int ->
-  locs:int -> event list -> full_report
-(** The original checker — every event issued through
-    [Execution.execute], every read answered by
-    [Observe.readable_writes] — kept as the executable specification that
-    the qcheck equivalence properties compare {!check} against.  Its cost
-    grows superlinearly with the history; use {!check} for anything
-    big. *)
+    instead carries write frontiers across events, one count per written
+    (writer, location) slot.  Frontiers of a location's buckets span only
+    that location's writers (other locations enter only through fence
+    snapshots), and observers share one row apart from their own slots.
+    A read costs O(w² · log n) and any other non-fence event O(w + procs),
+    w being the number of distinct writers of the event's location; a
+    fence costs O(procs · slots).  Memory is O(procs · locs) for the
+    index, O(w) per touched (process, location) bucket and per write,
+    and O(slots) per fencing process and per fence snapshot still
+    referenced.  It reports exactly the violations, in exactly the order,
+    that issuing every event through {!Execution} and answering every
+    read with {!Observe.readable_writes} would. *)

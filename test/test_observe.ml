@@ -275,10 +275,10 @@ let arb_wild_events =
 let same_verdict ?require_locked_writes ?init events =
   let r = History.check ?require_locked_writes ?init ~procs:3 ~locs:2 events in
   let f =
-    History.check_reference ?require_locked_writes ?init ~procs:3 ~locs:2
-      events
+    History_oracle.check_reference ?require_locked_writes ?init ~procs:3
+      ~locs:2 events
   in
-  r.History.violations = f.History.full_violations
+  r.History.violations = f.History_oracle.full_violations
 
 let prop_incremental_matches_reference =
   QCheck.Test.make ~count:500
@@ -296,6 +296,107 @@ let prop_incremental_matches_reference_init =
     ~name:"incremental check ≡ reference (nonzero init)" arb_wild_events
     (same_verdict ?require_locked_writes:None ~init:(fun l -> l + 1))
 
+(* The same equivalence over a random geometry (1-6 processes, 1-8
+   locations, mostly 2-3 of each), so that many (process, location)
+   slots stay unwritten.  Each location gets a role: general (a random
+   subset of the processes write it), lock-only (acquires and releases,
+   no accesses) or read-only (reads and read-only scopes, never
+   written).  Every write stores a fresh value and every read returns
+   one its location has held (or either initial value), so a read's
+   verdict pins exactly which writes precede it.  Half the runs are
+   fence-heavy, so values also flow between locations through fences. *)
+type role = General of bool array | Lock_only | Read_only
+
+let gen_geometry_history =
+  let open QCheck.Gen in
+  frequency [ (3, int_range 2 3); (1, int_range 1 6) ] >>= fun procs ->
+  frequency [ (3, int_range 2 3); (1, int_range 1 8) ] >>= fun locs ->
+  array_repeat locs
+    (frequency
+       [
+         (3, map (fun m -> General m) (array_repeat procs bool));
+         (1, return Lock_only);
+         (1, return Read_only);
+       ])
+  >>= fun roles ->
+  frequency [ (1, return 1); (1, return 8) ] >>= fun fence_weight ->
+  int_range 0 100 >>= fun n ->
+  (* [held.(v)]: every value location v has held, newest first *)
+  let held = Array.init locs (fun v -> [ 0; v + 1 ]) in
+  let fresh = ref 100 in
+  let event proc loc =
+    let sync =
+      [
+        (3, return (History.E_acquire { proc; loc }));
+        (3, return (History.E_release { proc; loc }));
+        (1, return (History.E_acquire_ro { proc; loc }));
+        (1, return (History.E_release_ro { proc; loc }));
+      ]
+    in
+    let read =
+      ( 4,
+        oneofl held.(loc) >|= fun value -> History.E_read { proc; loc; value }
+      )
+    in
+    let write =
+      ( 4,
+        return () >|= fun () ->
+        incr fresh;
+        held.(loc) <- !fresh :: held.(loc);
+        History.E_write { proc; loc; value = !fresh } )
+    in
+    frequency
+      ((fence_weight, return (History.E_fence { proc }))
+      ::
+      (match roles.(loc) with
+      | General writers when writers.(proc) -> write :: read :: sync
+      | General _ | Read_only -> read :: sync
+      | Lock_only -> sync))
+  in
+  (* runs of one process's events, so that per-process sequences such as
+     write, release, fence, release reach other processes *)
+  let rec go k prev acc =
+    if k = 0 then return (procs, locs, List.rev acc)
+    else
+      frequency [ (2, return prev); (1, int_range 0 (procs - 1)) ]
+      >>= fun proc ->
+      int_range 0 (locs - 1) >>= fun loc ->
+      event proc loc >>= fun e -> go (k - 1) proc (e :: acc)
+  in
+  go n 0 []
+
+let arb_geometry_history =
+  QCheck.make
+    ~print:(fun (procs, locs, evs) ->
+      Printf.sprintf "procs=%d locs=%d: %s" procs locs
+        (String.concat "; " (List.map event_to_string evs)))
+    gen_geometry_history
+
+let same_verdict_geometry ?require_locked_writes ?init (procs, locs, events) =
+  let r = History.check ?require_locked_writes ?init ~procs ~locs events in
+  let f =
+    History_oracle.check_reference ?require_locked_writes ?init ~procs ~locs
+      events
+  in
+  r.History.violations = f.History_oracle.full_violations
+
+let prop_geometry_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"any geometry: check ≡ reference"
+    arb_geometry_history
+    (same_verdict_geometry ?require_locked_writes:None ?init:None)
+
+let prop_geometry_matches_reference_locked =
+  QCheck.Test.make ~count:2000
+    ~name:"any geometry: check ≡ reference (locked)"
+    arb_geometry_history
+    (same_verdict_geometry ~require_locked_writes:true ?init:None)
+
+let prop_geometry_matches_reference_init =
+  QCheck.Test.make ~count:2000
+    ~name:"any geometry: check ≡ reference (init)"
+    arb_geometry_history
+    (same_verdict_geometry ?require_locked_writes:None ~init:(fun l -> l + 1))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -304,6 +405,9 @@ let props =
       prop_incremental_matches_reference;
       prop_incremental_matches_reference_locked;
       prop_incremental_matches_reference_init;
+      prop_geometry_matches_reference;
+      prop_geometry_matches_reference_locked;
+      prop_geometry_matches_reference_init;
     ]
 
 let suite =

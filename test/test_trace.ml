@@ -197,9 +197,26 @@ let test_replay_apps () =
             = Pmc_trace.Replay.Consistent))
         [ Pmc.Backends.Seqcst; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
           Pmc.Backends.Spm ])
-    (* stencil at a deliberately small scale: its RO-heavy traces make the
-       quadratic History.check expensive *)
+    (* stencil at a small scale: its RO-heavy traces are long *)
     [ ("histogram", 8); ("stencil", 4) ]
+
+(* The default 32-core machine: every core writes only a few of the
+   served keys, and the checker's frontiers must stay that sparse — one
+   row per observer over every (process, location) pair needs gigabytes
+   at the default scale. *)
+let test_replay_32_cores () =
+  let cfg = { Config.default with cores = 32 } in
+  let app = Option.get (Pmc_apps.Registry.find "kv_store") in
+  let outcome, rec_ =
+    Pmc_apps.Runner.run_traced ~cfg app ~backend:Pmc.Backends.Dsm ~scale:8
+  in
+  Alcotest.(check bool) "checksum" true
+    (Pmc_apps.Runner.ok (Pmc_apps.Runner.finished outcome));
+  Alcotest.(check int) "complete trace" 0
+    (Pmc_trace.Recorder.dropped_total rec_);
+  Alcotest.(check bool) "PMC-consistent" true
+    (verdict Pmc_trace.Replay.Model ~cores:32 rec_
+    = Pmc_trace.Replay.Consistent)
 
 (* A lossy trace is never judged: with a 16-event ring the run below
    overflows, and both checks must come back inconclusive with the
@@ -297,6 +314,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_drf_never_flagged;
       QCheck_alcotest.to_alcotest prop_racy_always_flagged;
       Alcotest.test_case "replay apps x backends" `Slow test_replay_apps;
+      Alcotest.test_case "replay kv_store/dsm at 32 cores" `Quick
+        test_replay_32_cores;
       Alcotest.test_case "replay lowering" `Quick test_replay_lowering;
       Alcotest.test_case "lossy trace is inconclusive" `Quick
         test_lossy_trace_inconclusive;

@@ -35,9 +35,9 @@ let exits =
           inconsistent."
   :: Cmd.Exit.info 5
        ~doc:
-         "inconclusive: a trace dropped events (raise \
-          $(b,--trace-capacity)), or with $(b,--smoke) a passing run was \
-          not model-checked."
+         "inconclusive: a run's trace dropped events, so its race or model \
+          check could not judge it ($(b,pmc run): raise \
+          $(b,--trace-capacity))."
   :: Cmd.Exit.defaults
 
 let cmd name ~doc term = Cmd.v (Cmd.info name ~doc ~exits) term
@@ -361,22 +361,6 @@ let smoke =
     & info [ "smoke" ]
         ~doc:"CI geometry: three kernels, 4 cores, capped scale.")
 
-let no_model_check =
-  Arg.(
-    value & flag
-    & info [ "no-model-check" ]
-        ~doc:
-          "Skip the PMC model replay of completed runs (of the durable \
-           prefix, for crash experiments).")
-
-let replay_budget =
-  Arg.(
-    value & opt (some int) None
-    & info [ "replay-budget" ] ~docv:"N"
-        ~doc:
-          "Skip the model replay for traces above N captured events \
-           (default 100000 for chaos runs, 500000 for crash experiments).")
-
 let window_info doc = Arg.info [ "window" ] ~docv:"CYCLES" ~doc
 
 let window =
@@ -535,22 +519,18 @@ let bench_job =
   $ scale 16 $ unbatched $ warmup 0 $ repeat 1
 
 let chaos_job =
-  let make c_app c_backend c_topology c_cores c_scale seed intensity
-      no_model_check replay_budget =
+  let make c_app c_backend c_topology c_cores c_scale seed intensity =
     Job.Chaos
-      { Job.c_app; c_backend; c_topology; c_cores; c_scale; seed; intensity;
-        model_check = not no_model_check; replay_budget }
+      { Job.c_app; c_backend; c_topology; c_cores; c_scale; seed; intensity }
   in
   Term.const make $ app "stencil" $ backend "dsm" $ topology $ cores 8
-  $ scale 16 $ seed $ intensity $ no_model_check $ replay_budget
+  $ scale 16 $ seed $ intensity
 
 let crash_job =
-  let make x_app x_backend x_topology x_cores x_scale x_seed x_window no_log
-      no_model_check x_replay_budget =
+  let make x_app x_backend x_topology x_cores x_scale x_seed x_window no_log =
     Job.Crash
       { Job.x_app; x_backend; x_topology; x_cores; x_scale; x_seed; x_window;
-        x_log = not no_log; x_model_check = not no_model_check;
-        x_replay_budget }
+        x_log = not no_log }
   in
   Term.const make $ app "stencil" $ crash_backend $ topology $ cores 8
   $ scale 16 $ seed
@@ -560,7 +540,7 @@ let crash_job =
           "Cut window in cycles.  Required: the cut cycle is a pure \
            function of (seed, window), so the job encoding — the \
            verdict-cache key — must carry it.")
-  $ no_log $ no_model_check $ replay_budget
+  $ no_log
 
 (* Run one job in-process and print it exactly as the daemon's answer is
    printed; the exit code follows the job's verdict. *)

@@ -4,7 +4,8 @@
          run every registered app under 20 seeded fault schedules;
          each run must complete correctly or fail with a typed error —
          a silent wrong answer (exit 3) or a PMC-inconsistent trace
-         (exit 4) fails the soak;
+         (exit 4) fails the soak, and a completed run whose trace
+         dropped events cannot be judged (exit 5);
      pmc chaos soak --seeds 20 --smoke
          the CI gate: three kernels at a small geometry;
      pmc chaos run --app stencil --seed 7 --intensity 2.0
@@ -50,34 +51,16 @@ let run_wall ~name ~jobs wall =
     results;
   results
 
-(* A failing wall exits with its worst verdict's code: 4 (a model
-   inconsistency) over 3 (a wrong result, a torn object) over 2 (an
-   experiment error). *)
-let wall_exit_code results =
-  List.fold_left (fun c r -> max c (Pmc_jobs.Result.exit_code r)) 0 results
-
 (* ---------------- soak ---------------- *)
 
-(* The smoke gate: with the model check on, every completed run must
-   have been replayed — an inconclusive trace (ring overflow, replay
-   budget) is not a pass. *)
-let gate_unchecked ~smoke ~no_model_check unchecked =
-  if smoke && (not no_model_check) && unchecked > 0 then begin
-    Fmt.epr "%d passing run(s) not model-checked@." unchecked;
-    5
-  end
-  else 0
-
 let soak app backend topology cores scale seeds seed_base intensity smoke
-    no_model_check replay_budget jobs quiet =
-  (* smoke geometry: small enough that every trace fits the replay
-     budget and the model checker runs on every completed seed *)
+    jobs quiet =
   let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
   let results =
     Pmc_jobs.Run.chaos_wall ~apps:(wall_apps ~smoke app) ~backend ~topology
       ~cores ~scale
       ~seeds:(List.init (max 1 seeds) (fun i -> seed_base + i))
-      ~intensity ~model_check:(not no_model_check) ~replay_budget
+      ~intensity
     |> run_wall ~name:"soak" ~jobs
   in
   let reports =
@@ -90,15 +73,15 @@ let soak app backend topology cores scale seeds seed_base intensity smoke
   let s = Pmc_apps.Chaos.summarize reports in
   Fmt.pr "%a@." Pmc_apps.Chaos.pp_soak s;
   Fmt.pr "%a@." Pmc_apps.Chaos.pp_tag_summary (Pmc_apps.Chaos.soak_counts s);
-  if not (Pmc_apps.Chaos.ok s) then begin
-    List.iter
-      (fun (r : Pmc_apps.Chaos.report) ->
-        if not (Pmc_apps.Chaos.acceptable r.Pmc_apps.Chaos.verdict) then
-          Fmt.epr "FAILED: %a@." Pmc_apps.Chaos.pp_report r)
-      s.Pmc_apps.Chaos.reports;
-    wall_exit_code results
-  end
-  else gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Chaos.unchecked
+  List.iter
+    (fun (r : Pmc_apps.Chaos.report) ->
+      if not (Pmc_apps.Chaos.acceptable r.Pmc_apps.Chaos.verdict) then
+        Fmt.epr "FAILED: %a@." Pmc_apps.Chaos.pp_report r
+      else if Pmc_apps.Chaos.unjudged r then
+        Fmt.epr "INCONCLUSIVE: %a (%d trace events dropped)@."
+          Pmc_apps.Chaos.pp_report r r.Pmc_apps.Chaos.dropped)
+    reports;
+  Pmc_jobs.Result.exit_code_wall results
 
 (* ---------------- crash ---------------- *)
 
@@ -120,12 +103,12 @@ let parse_seed_list ~seed_base s =
   | _ -> fail ()
 
 let crash app backend topology cores scale seeds seed_base window no_log
-    smoke no_model_check replay_budget jobs quiet =
+    smoke jobs quiet =
   let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
   let results =
     Pmc_jobs.Run.crash_wall ~apps:(wall_apps ~smoke app) ~backend ~topology
       ~cores ~scale ~seeds:(parse_seed_list ~seed_base seeds) ~window
-      ~log:(not no_log) ~model_check:(not no_model_check) ~replay_budget
+      ~log:(not no_log)
     |> run_wall ~name:"crash" ~jobs
   in
   let reports =
@@ -137,15 +120,12 @@ let crash app backend topology cores scale seeds seed_base window no_log
     List.iter (fun r -> Fmt.pr "%a@." Pmc_apps.Crash.pp_report r) reports;
   let s = Pmc_apps.Crash.summarize reports in
   Fmt.pr "%a@." Pmc_apps.Crash.pp_sweep s;
-  if not (Pmc_apps.Crash.ok s) then begin
-    List.iter
-      (fun (r : Pmc_apps.Crash.report) ->
-        if not (Pmc_apps.Crash.acceptable r.Pmc_apps.Crash.verdict) then
-          Fmt.epr "FAILED: %a@." Pmc_apps.Crash.pp_report r)
-      s.Pmc_apps.Crash.reports;
-    wall_exit_code results
-  end
-  else gate_unchecked ~smoke ~no_model_check s.Pmc_apps.Crash.unchecked
+  List.iter
+    (fun (r : Pmc_apps.Crash.report) ->
+      if not (Pmc_apps.Crash.acceptable r.Pmc_apps.Crash.verdict) then
+        Fmt.epr "FAILED: %a@." Pmc_apps.Crash.pp_report r)
+    reports;
+  Pmc_jobs.Result.exit_code_wall results
 
 (* ---------------- zerocost ---------------- *)
 
@@ -282,8 +262,7 @@ let cmd =
         Term.(
           const soak $ Cli.one_app $ Cli.backend "dsm" $ Cli.topology
           $ Cli.cores 8 $ Cli.scale 16 $ Cli.seed_count $ Cli.seed_base
-          $ Cli.intensity $ Cli.smoke $ Cli.no_model_check $ Cli.replay_budget
-          $ jobs $ quiet);
+          $ Cli.intensity $ Cli.smoke $ jobs $ quiet);
       Cli.cmd "run" ~doc:"One seeded chaos run with a full report"
         Term.(const (fun job -> Cli.run_local job) $ Cli.chaos_job);
       Cli.cmd "crash"
@@ -291,8 +270,7 @@ let cmd =
         Term.(
           const crash $ Cli.one_app $ Cli.crash_backend $ Cli.topology
           $ Cli.cores 8 $ Cli.scale 16 $ Cli.seed_range $ Cli.seed_base
-          $ Cli.window $ Cli.no_log $ Cli.smoke $ Cli.no_model_check
-          $ Cli.replay_budget $ jobs $ quiet);
+          $ Cli.window $ Cli.no_log $ Cli.smoke $ jobs $ quiet);
       Cli.cmd "zerocost" ~doc:"Assert the disarmed fault plane costs nothing"
         Term.(const zerocost $ Cli.baseline $ Cli.seed $ quiet);
     ]

@@ -48,18 +48,8 @@ let total_injected (c : Fault.counts) =
   c.Fault.noc_drops + c.Fault.noc_corrupts + c.Fault.noc_delays
   + c.Fault.sdram_retries + c.Fault.tile_stalls + c.Fault.power_cuts
 
-(* Above this many captured events a replay is skipped (reported as
-   [replayed = false]) and the run is judged on its checksum alone.
-   The incremental checker replays events in near-constant time each,
-   so the budget is an order of magnitude wider than it was under the
-   per-event-recomputation checker — at ~1M events/s it bounds a replay
-   to well under a second. *)
-let default_replay_budget = 100_000
-
-let run_one ?(intensity = 1.0) ?(model_check = true)
-    ?(replay_budget = default_replay_budget) ?max_cycles
-    ?(topology = Topology.Star) (a : Runner.app) ~backend ~cores ~scale
-    ~seed : report =
+let run_one ?(intensity = 1.0) ?max_cycles ?(topology = Topology.Star)
+    (a : Runner.app) ~backend ~cores ~scale ~seed : report =
   let cfg =
     Config.chaos ~intensity ~seed { Config.default with cores; topology }
   in
@@ -95,19 +85,22 @@ let run_one ?(intensity = 1.0) ?(model_check = true)
         (Wrong_result
            { checksum = r.Runner.checksum; reference = r.Runner.reference })
         ~replayed:false
-  | Ok _ when not model_check -> finish Completed ~replayed:false
   | Ok _ -> (
       match
-        Pmc_trace.Replay.verdict ~budget:replay_budget Pmc_trace.Replay.Model
-          ~cores ~dropped
+        Pmc_trace.Replay.verdict Pmc_trace.Replay.Model ~cores ~dropped
           (Pmc_trace.Recorder.events rec_)
       with
       | Pmc_trace.Replay.Consistent -> finish Completed ~replayed:true
       | Pmc_trace.Replay.Violations vs ->
           finish (Inconsistent (List.length vs)) ~replayed:true
       | Pmc_trace.Replay.Inconclusive _ ->
-          (* judged on its checksum alone; counted as unchecked *)
+          (* a lossy trace cannot be judged: see [unjudged] *)
           finish Completed ~replayed:false)
+
+(* The one rule for a run that could not be judged: it completed with
+   the right checksum, but its trace overflowed a ring, so the model
+   never saw it.  Such a run neither passes nor fails — it exits 5. *)
+let unjudged r = r.verdict = Completed && not r.replayed
 
 (* ---------------- soak summaries ---------------- *)
 
@@ -118,7 +111,7 @@ type soak = {
   typed_errors : int;
   failed : int;           (* wrong results + inconsistent replays *)
   injected : int;         (* faults injected across all runs *)
-  unchecked : int;        (* completed runs the model replay did not judge *)
+  unchecked : int;        (* unjudged runs *)
 }
 
 (* The verdict totals of a report list. *)
@@ -133,10 +126,8 @@ let summarize (reports : report list) : soak =
     failed = count (fun r -> not (acceptable r.verdict));
     injected =
       List.fold_left (fun acc r -> acc + total_injected r.faults) 0 reports;
-    unchecked = count (fun r -> r.verdict = Completed && not r.replayed);
+    unchecked = count unjudged;
   }
-
-let ok s = s.failed = 0
 
 (* ---------------- zero-cost-when-off identity ---------------- *)
 

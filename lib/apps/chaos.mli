@@ -34,7 +34,9 @@ type report = {
   faults : Pmc_sim.Fault.counts;  (** snapshot of the run's counters *)
   events : int;                   (** trace events captured *)
   dropped : int;                  (** trace events lost to ring overflow *)
-  replayed : bool;                (** model replay ran (complete trace) *)
+  replayed : bool;
+      (** the model replay judged the run (every completed run with a
+          complete trace) *)
 }
 
 val acceptable : verdict -> bool
@@ -46,28 +48,25 @@ val total_injected : Pmc_sim.Fault.counts -> int
     stalls, power cuts) — protocol reactions (retries, relays) not
     included. *)
 
-val default_replay_budget : int
-(** Captured-event count above which the model replay is skipped
-    (currently 100000).  The incremental {!Pmc_model.History.check}
-    replays events in near-constant time each, so at the default budget
-    a replay stays well under a second. *)
-
 val run_one :
-  ?intensity:float -> ?model_check:bool -> ?replay_budget:int ->
-  ?max_cycles:int -> ?topology:Pmc_sim.Topology.t ->
+  ?intensity:float -> ?max_cycles:int -> ?topology:Pmc_sim.Topology.t ->
   Runner.app -> backend:Pmc.Backends.kind -> cores:int -> scale:int ->
   seed:int -> report
 (** One traced run ({!Runner.run_traced}) under
-    [Config.chaos ~intensity ~seed].  A completed run is judged by
-    {!Pmc_trace.Replay.verdict} when [model_check] (default [true]);
-    an inconclusive trace — ring overflow, or more than [replay_budget]
-    events (default {!default_replay_budget}) — leaves it [Completed]
-    with [replayed = false].  [max_cycles] tightens the livelock
-    watchdog to a per-request cycle budget (a budget overrun surfaces as
-    a [Typed_error] watchdog verdict); [topology] (default
+    [Config.chaos ~intensity ~seed].  Every completed run is judged by
+    {!Pmc_trace.Replay.verdict}, whatever its trace length; only a ring
+    overflow leaves it [Completed] with [replayed = false] (see
+    {!unjudged}).  [max_cycles] tightens the livelock watchdog to a
+    per-request cycle budget (a budget overrun surfaces as a
+    [Typed_error] watchdog verdict); [topology] (default
     {!Pmc_sim.Topology.Star}) selects the fabric — on routed fabrics the
     plane draws one outcome per physical link of each route (by-hop
     fault addressing, {!Pmc_sim.Fault.route_outcome}). *)
+
+val unjudged : report -> bool
+(** [Completed] with [replayed = false]: the checksum matched but the
+    trace dropped events, so the model replay could not judge the run.
+    Such a run is inconclusive — exit 5 ([Pmc_jobs.Result.exit_code]). *)
 
 type soak = {
   reports : report list;  (** in run order *)
@@ -76,12 +75,8 @@ type soak = {
   typed_errors : int;
   failed : int;           (** wrong results + inconsistent replays *)
   injected : int;         (** faults injected across all runs *)
-  unchecked : int;
-      (** completed runs whose trace the model replay did not judge *)
+  unchecked : int;        (** {!unjudged} runs *)
 }
-
-val ok : soak -> bool
-(** No unacceptable verdicts. *)
 
 val summarize : report list -> soak
 (** Verdict totals of a report list.  A soak is a batch of [Pmc_jobs]

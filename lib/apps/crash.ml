@@ -80,11 +80,6 @@ let acceptable = function
   | Completed | Recovered -> true
   | Torn _ | Prefix_inconsistent _ | Check_error _ -> false
 
-(* Crash experiments run at small geometry and the incremental checker
-   replays events in near-constant time each, so the budget effectively
-   never skips a durable-prefix replay. *)
-let default_replay_budget = 500_000
-
 (* ---------------- durable-image object checks ---------------- *)
 
 (* Pair trace object descriptors with the device's allocation directory:
@@ -331,9 +326,8 @@ let window ~log ~topology (a : Runner.app) ~backend ~cores ~scale =
   let r = Runner.run ~cfg:(base_cfg ~log ~topology ~cores) a ~backend ~scale in
   max 1 r.Runner.wall
 
-let crash_one ?(log = true) ~window ?(replay_budget = default_replay_budget)
-    ?(model_check = true) ?(topology = Topology.Star) (a : Runner.app)
-    ~backend ~cores ~scale ~seed : report =
+let crash_one ?(log = true) ~window ?(topology = Topology.Star)
+    (a : Runner.app) ~backend ~cores ~scale ~seed : report =
   let window = max 1 window in
   let cfg = Config.crash ~seed ~window (base_cfg ~log ~topology ~cores) in
   let outcome, rec_ = Runner.run_traced ~cfg a ~backend ~scale in
@@ -466,19 +460,22 @@ let crash_one ?(log = true) ~window ?(replay_budget = default_replay_budget)
                     mk_report ~cut ~verdict ~objects ~recovery:(Some recovery)
                       ~replayed
                   in
-                  if not model_check then report clean ~replayed:false
-                  else
-                    match
-                      Pmc_trace.Replay.verdict ~budget:replay_budget
-                        Pmc_trace.Replay.Model ~cores ~dropped:0 prefix
-                    with
-                    | Pmc_trace.Replay.Consistent ->
-                        report clean ~replayed:true
-                    | Pmc_trace.Replay.Violations vs ->
-                        report (Prefix_inconsistent (List.length vs))
-                          ~replayed:true
-                    | Pmc_trace.Replay.Inconclusive _ ->
-                        report clean ~replayed:false
+                  match
+                    Pmc_trace.Replay.verdict Pmc_trace.Replay.Model ~cores
+                      ~dropped:0 prefix
+                  with
+                  | Pmc_trace.Replay.Consistent -> report clean ~replayed:true
+                  | Pmc_trace.Replay.Violations vs ->
+                      report (Prefix_inconsistent (List.length vs))
+                        ~replayed:true
+                  | Pmc_trace.Replay.Inconclusive i ->
+                      (* unreachable — a dropped trace failed above — but
+                         an unjudged prefix must never pass *)
+                      report
+                        (Check_error
+                           (Fmt.str "durable prefix not judged: %a"
+                              Pmc_trace.Replay.pp_inconclusive i))
+                        ~replayed:false
                 end
           end)
 
@@ -493,7 +490,6 @@ type sweep = {
   torn : int;
   inconsistent : int;
   errors : int;
-  unchecked : int;        (* passing experiments left unreplayed *)
 }
 
 let summarize (reports : report list) : sweep =
@@ -511,10 +507,7 @@ let summarize (reports : report list) : sweep =
     errors =
       count (fun r ->
           match r.verdict with Check_error _ -> true | _ -> false);
-    unchecked = count (fun r -> acceptable r.verdict && not r.replayed);
   }
-
-let ok s = s.torn = 0 && s.inconsistent = 0 && s.errors = 0
 
 (* ---------------- printing ---------------- *)
 
@@ -540,6 +533,5 @@ let pp_report ppf (r : report) =
 let pp_sweep ppf (s : sweep) =
   Fmt.pf ppf
     "%d experiments: %d cuts injected, %d recovered, %d completed, %d torn, \
-     %d inconsistent, %d errors; %d passing experiments not model-checked"
+     %d inconsistent, %d errors"
     s.total s.cuts s.recovered s.completed s.torn s.inconsistent s.errors
-    s.unchecked

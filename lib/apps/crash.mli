@@ -60,11 +60,6 @@ type report = {
 val acceptable : verdict -> bool
 (** [Completed] and [Recovered] pass; everything else fails. *)
 
-val default_replay_budget : int
-(** Prefix length above which the model replay is skipped (500000) —
-    wide enough that a durable-prefix replay is effectively never
-    skipped at crash-experiment geometry. *)
-
 val window :
   log:bool -> topology:Pmc_sim.Topology.t -> Runner.app ->
   backend:Pmc.Backends.kind -> cores:int -> scale:int -> int
@@ -75,16 +70,15 @@ val window :
     inside the run.  Every seed of an app shares it. *)
 
 val crash_one :
-  ?log:bool -> window:int -> ?replay_budget:int -> ?model_check:bool ->
-  ?topology:Pmc_sim.Topology.t -> Runner.app -> backend:Pmc.Backends.kind ->
-  cores:int -> scale:int -> seed:int -> report
+  ?log:bool -> window:int -> ?topology:Pmc_sim.Topology.t -> Runner.app ->
+  backend:Pmc.Backends.kind -> cores:int -> scale:int -> seed:int -> report
 (** One crash experiment on a traced run ({!Runner.run_traced}).  [log]
     (default [true]) arms the redo log — [false] selects the
     deliberately tearable word-by-word publication the checker must
     catch.  [window] bounds the cut cycle (see {!window}).  The durable
-    prefix is judged by {!Pmc_trace.Replay.verdict}; a prefix over
-    [replay_budget] events leaves a passing verdict with
-    [replayed = false]. *)
+    prefix of every experiment without a torn object is judged by
+    {!Pmc_trace.Replay.verdict}, so a passing verdict always has
+    [replayed = true]; a trace that dropped events is a [Check_error]. *)
 
 type sweep = {
   reports : report list;  (** in run order *)
@@ -95,16 +89,11 @@ type sweep = {
   torn : int;
   inconsistent : int;
   errors : int;
-  unchecked : int;
-      (** passing experiments whose durable prefix was not replayed *)
 }
 
 val summarize : report list -> sweep
 (** Verdict totals of a report list.  A sweep is a batch of
     [Pmc_jobs] crash jobs ([Pmc_jobs.Run.crash_wall]). *)
-
-val ok : sweep -> bool
-(** No torn objects, no inconsistent prefixes, no experiment errors. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -20,7 +20,7 @@
      fence     compiler barrier; inter-tile ordering is preserved by the
                per-link FIFO of the NoC.
 
-   With [Config.dsm_lazy_versions] the back-end version-tracks replicas
+   With [Config.batched] the back-end version-tracks replicas
    (TreadMarks-style lazy release consistency):
 
      - an acquire skips the pull when the local replica already holds the
@@ -67,7 +67,7 @@ let replica_addr t (o : Shared.t) ~tile =
 
 (* Bring the newest version (owned by [o.last_writer]) into [core]'s
    replica, charging the NoC transfer to the acquirer.  Under
-   [dsm_lazy_versions] the transfer is skipped when the local replica is
+   [Config.batched] the transfer is skipped when the local replica is
    already at the newest version and its bytes have landed; and when the
    acquire just received the lock over the NoC ([handover]), the newest
    version rides in the same grant burst — the releaser's replica is
@@ -76,7 +76,7 @@ let replica_addr t (o : Shared.t) ~tile =
 let pull_version ?(handover = false) t (o : Shared.t) =
   let core = Machine.core_id t.m in
   let cfg = Machine.config t.m in
-  let lazy_v = cfg.Config.dsm_lazy_versions in
+  let lazy_v = cfg.Config.batched in
   let current =
     lazy_v
     && Array.length o.Shared.seen > 0
@@ -125,7 +125,7 @@ let exit_x t (o : Shared.t) =
   (* lazy release: the data stays local until the next acquirer pulls it *)
   let core = Machine.core_id t.m in
   let cfg = Machine.config t.m in
-  if cfg.Config.dsm_lazy_versions then begin
+  if cfg.Config.batched then begin
     if o.Shared.dirty_core = core then begin
       o.Shared.version <- o.Shared.version + 1;
       o.Shared.last_writer <- core;
@@ -157,7 +157,7 @@ let flush t (o : Shared.t) =
   let others =
     List.filter (fun i -> i <> core) (List.init cfg.Config.cores Fun.id)
   in
-  if not cfg.Config.dsm_lazy_versions then begin
+  if not cfg.Config.batched then begin
     ignore
       (Machine.noc_push_multi t.m ~dsts:others ~src_off:off ~dst_off:off
          ~len:o.Shared.size);

@@ -16,7 +16,7 @@ type t = {
   mutable version : int;
       (** Publication count of the object under DSM lazy release: bumped
           by an exit_x that wrote and by every flush
-          (see {!Config.t.dsm_lazy_versions}). *)
+          (see {!Config.t.batched}). *)
   mutable seen : int array;
       (** Per-tile replica version ([-1] = unknown); [[||]] until
           {!dsm_track}. *)

@@ -39,8 +39,6 @@ type chaos = {
   c_scale : int;
   seed : int;
   intensity : float;
-  model_check : bool;
-  replay_budget : int option;
 }
 
 type crash = {
@@ -56,8 +54,6 @@ type crash = {
           ({!Pmc_sim.Fault.power_cut_cycle}) — the encoding alone
           determines the cut, which keeps the verdict cache sound *)
   x_log : bool;  (** redo log armed; [false] = tearable debug mode *)
-  x_model_check : bool;
-  x_replay_budget : int option;
 }
 
 type t =
@@ -73,7 +69,10 @@ val to_json : t -> Pmc_bench.Json.t
 (** Canonical: field order is fixed, so equal jobs encode equally. *)
 
 val of_json : Pmc_bench.Json.t -> t
-(** @raise Failure on malformed input. *)
+(** Accepts every older encoding: a missing topology decodes to
+    ["star"], and the model-replay opt-out fields of older chaos and
+    crash jobs are ignored — every run is judged.
+    @raise Failure on malformed input. *)
 
 val key : t -> string
 (** [Json.to_compact (to_json t)] — the verdict-cache key material. *)

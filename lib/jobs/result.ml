@@ -62,6 +62,7 @@ let exit_code = function
   | Litmus_outcomes _ -> 0
   | Check_checked r -> if r.ok then 0 else 3
   | Bench_measured s -> if s.b_ok && s.deterministic then 0 else 3
+  | Chaos_soaked r when Pmc_apps.Chaos.unjudged r -> 5
   | Chaos_soaked r -> (
       match r.Pmc_apps.Chaos.verdict with
       | Pmc_apps.Chaos.Completed | Pmc_apps.Chaos.Typed_error _ -> 0
@@ -75,14 +76,21 @@ let exit_code = function
       | Pmc_apps.Crash.Prefix_inconsistent _ -> 4)
   | Error _ -> 2
 
+(* A batch exits with its most severe code: [order] ranks the failures,
+   and an inconclusive run (5) ranks below every one of them — a batch
+   that also holds a wrong verdict reports the wrong verdict. *)
+let worst order results =
+  let codes = List.map exit_code results in
+  Option.value ~default:0
+    (List.find_opt (fun c -> List.mem c codes) (order @ [ 5 ]))
+
 (* Input errors dominate (a 2 means "the batch did not even run as
    asked"), then model inconsistency, then property failures. *)
-let exit_code_all results =
-  let codes = List.map exit_code results in
-  if List.mem 2 codes then 2
-  else if List.mem 4 codes then 4
-  else if List.mem 3 codes then 3
-  else 0
+let exit_code_all = worst [ 2; 4; 3 ]
+
+(* A wall of seeds ran as asked (a rejected job stops it first), so its
+   experiment errors rank below the verdicts that fail the harness. *)
+let exit_code_wall = worst [ 4; 3; 2 ]
 
 let ok t = exit_code t = 0
 

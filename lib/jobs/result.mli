@@ -1,5 +1,5 @@
 (** Typed job results with stable JSON encodings, CLI-identical
-    rendering and the documented 0/2/3/4 exit-code contract.
+    rendering and the documented 0/2/3/4/5 exit-code contract.
 
     Every field is deterministic — no host time, no process state — so
     a result is a pure function of its {!Job.t} and serialized results
@@ -51,13 +51,20 @@ type t =
   | Error of error
 
 val exit_code : t -> int
-(** The exit-code convention of every pmc subcommand: 0 success; 2 input/budget/runtime error;
-    3 property failure (discipline errors, checksum mismatch, wrong
-    result); 4 formal PMC-model inconsistency. *)
+(** The exit-code convention of every pmc subcommand: 0 success; 2
+    input/budget/runtime error; 3 property failure (discipline errors,
+    checksum mismatch, wrong result); 4 formal PMC-model inconsistency;
+    5 inconclusive — a completed chaos run the model replay could not
+    judge ({!Pmc_apps.Chaos.unjudged}). *)
 
 val exit_code_all : t list -> int
 (** Combine a batch: input errors (2) dominate, then inconsistency (4),
-    then property failures (3), else 0. *)
+    then property failures (3), then inconclusive runs (5), else 0. *)
+
+val exit_code_wall : t list -> int
+(** Combine a wall of seeds (a chaos soak, a crash sweep): inconsistency
+    (4) over property failures (3) over experiment errors (2), then
+    inconclusive runs (5), else 0. *)
 
 val ok : t -> bool
 (** [exit_code t = 0]. *)

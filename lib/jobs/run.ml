@@ -241,7 +241,6 @@ let run_chaos ~budget (c : Job.chaos) : Result.t =
          verdict, not a rejection — run_one folds the watchdog in *)
       Result.Chaos_soaked
         (Pmc_apps.Chaos.run_one ~intensity:c.Job.intensity
-           ~model_check:c.Job.model_check ?replay_budget:c.Job.replay_budget
            ?max_cycles:budget.max_cycles ~topology app ~backend
            ~cores:c.Job.c_cores ~scale:c.Job.c_scale ~seed:c.Job.seed)
 
@@ -263,8 +262,7 @@ let run_crash (c : Job.crash) : Result.t =
            the encoding — no twin run at execution time *)
         Result.Crash_checked
           (Pmc_apps.Crash.crash_one ~log:c.Job.x_log ~window:c.Job.x_window
-             ~model_check:c.Job.x_model_check
-             ?replay_budget:c.Job.x_replay_budget ~topology app ~backend
+             ~topology app ~backend
              ~cores:c.Job.x_cores ~scale:c.Job.x_scale ~seed:c.Job.x_seed)
 
 (* ---------------- the entry points ---------------- *)
@@ -300,8 +298,7 @@ let run_all ?budget ?pool (jobs : Job.t list) : Result.t list =
 let wall ~apps ~seeds job =
   List.concat_map (fun app -> List.map (fun seed -> job app seed) seeds) apps
 
-let chaos_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~intensity
-    ~model_check ~replay_budget =
+let chaos_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~intensity =
   wall ~apps ~seeds (fun app seed ->
       Job.Chaos
         {
@@ -312,12 +309,9 @@ let chaos_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~intensity
           c_scale = scale;
           seed;
           intensity;
-          model_check;
-          replay_budget;
         })
 
-let crash_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~window ~log
-    ~model_check ~replay_budget =
+let crash_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~window ~log =
   (* the cut window is learned once per app, then travels inside each
      job — the cut cycle is fixed by the job encoding alone, at any pool
      width *)
@@ -346,6 +340,4 @@ let crash_wall ~apps ~backend ~topology ~cores ~scale ~seeds ~window ~log
           x_seed = seed;
           x_window = List.assoc app windows;
           x_log = log;
-          x_model_check = model_check;
-          x_replay_budget = replay_budget;
         })

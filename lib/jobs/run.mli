@@ -39,15 +39,14 @@ val run_all :
 
 val chaos_wall :
   apps:string list -> backend:string -> topology:string -> cores:int ->
-  scale:int -> seeds:int list -> intensity:float -> model_check:bool ->
-  replay_budget:int option -> Job.t list
+  scale:int -> seeds:int list -> intensity:float -> Job.t list
 (** One {!Job.Chaos} run per app × seed; summarize the reports with
     {!Pmc_apps.Chaos.summarize}. *)
 
 val crash_wall :
   apps:string list -> backend:string -> topology:string -> cores:int ->
   scale:int -> seeds:int list -> window:int option -> log:bool ->
-  model_check:bool -> replay_budget:int option -> Job.t list
+  Job.t list
 (** One {!Job.Crash} experiment per app × seed.  Every seed of an app
     shares one cut window: [window] when given, else the app's
     {!Pmc_apps.Crash.window}, learned here once so that the job encoding

@@ -61,7 +61,7 @@ val last_transfer_from : t -> int
     exclusive {!acquire}, or -1 if that acquire involved no handover
     (local re-acquisition or first acquisition).  The DSM back-end uses
     this to piggyback the protected object's newest version on the grant
-    burst (see {!Pmc_sim.Config.t.dsm_lazy_versions}). *)
+    burst (see {!Pmc_sim.Config.t.batched}). *)
 
 val reader_count : t -> int
 (** Number of cores currently in the reader group (host-side view). *)

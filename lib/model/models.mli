@@ -40,12 +40,6 @@ end
 val clone2 : int array array -> int array array
 (** Deep copy of a 2-D state component (shared by the semantics). *)
 
-val marshal_key : 'a -> string
-(** The previous implementation of {!module-type:SEM}'s [key]
-    ([Marshal] the state),
-    retained as the reference the packed-key equivalence properties
-    enumerate against. *)
-
 module Sc : SEM
 module Pc : SEM
 module Cc : SEM

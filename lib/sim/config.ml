@@ -34,13 +34,9 @@ type t = {
   (* locking *)
   lock_local_poll_cycles : int; (* polling the local grant flag *)
   lock_transfer_cycles : int;   (* handover between tiles over the NoC *)
-  (* hot-path batching: each switch can be turned off to reproduce the
-     unbatched cost model (the regression benches compare both) *)
-  noc_multicast : bool;         (* one burst per flush instead of per tile *)
-  dsm_lazy_versions : bool;     (* skip pulls of an up-to-date DSM replica *)
-  batched_maint : bool;         (* one SDRAM arbitration per maintenance burst *)
-  local_poll_backoff : int;     (* max poll backoff when spinning on a local
-                                   replica (polls other tiles never see) *)
+  batched : bool;               (* hot-path batching; off = the unbatched
+                                   cost model the regression benches
+                                   compare against (see config.mli) *)
   (* fault injection: the chaos plane (see Fault).  All probabilities are
      zero by default — with every probability at zero the plane is off and
      the simulator is bit-identical to the fault-free machine. *)
@@ -98,10 +94,7 @@ let default =
     noc_word_cycles = 1;
     lock_local_poll_cycles = 4;
     lock_transfer_cycles = 30;
-    noc_multicast = true;
-    dsm_lazy_versions = true;
-    batched_maint = true;
-    local_poll_backoff = 64;
+    batched = true;
     fault_seed = 1;
     noc_drop_prob = 0.0;
     noc_corrupt_prob = 0.0;
@@ -130,14 +123,7 @@ let small = { default with cores = 4; sdram_bytes = 1024 * 1024 }
 
 (* Disable every batching optimization: the pre-batching cost model, used
    as the reference side of regression benches and equivalence tests. *)
-let unbatched t =
-  {
-    t with
-    noc_multicast = false;
-    dsm_lazy_versions = false;
-    batched_maint = false;
-    local_poll_backoff = 512;
-  }
+let unbatched t = { t with batched = false }
 
 (* Disarm the fault plane: every probability back to zero.  With the
    plane off the simulator takes the exact fault-free code paths, so

@@ -32,24 +32,23 @@ type t = {
   noc_word_cycles : int;        (** per-word injection/burst cost *)
   lock_local_poll_cycles : int; (** polling the local grant flag *)
   lock_transfer_cycles : int;   (** lock handover between tiles *)
-  noc_multicast : bool;
-      (** Batching: a DSM flush injects one multicast burst (one header
-          flit plus the payload, once) instead of a unicast burst per
-          destination tile. *)
-  dsm_lazy_versions : bool;
-      (** Batching: version-track DSM replicas so an acquire skips the
-          pull when the local replica already holds the newest version,
-          and an exclusive scope that never wrote does not claim
-          ownership. *)
-  batched_maint : bool;
-      (** Batching: a range cache-maintenance operation arbitrates for
-          the SDRAM port once per burst of write-backs instead of once
-          per line. *)
-  local_poll_backoff : int;
-      (** Maximum exponential-backoff sleep when polling a word that
-          lives in the polling core's local memory (DSM replicas).  Such
-          polls disturb no other tile — Section VI-B — so they may poll
-          tighter than {!Pmc.Api.poll_until}'s shared-memory default. *)
+  batched : bool;
+      (** Hot-path batching, all on or all off ([false] is the
+          pre-batching cost model, {!unbatched}):
+
+          - a DSM flush injects one multicast burst (one header flit
+            plus the payload, once) instead of a unicast burst per
+            destination tile;
+          - DSM replicas are version-tracked, so an acquire skips the
+            pull when the local replica already holds the newest
+            version, and an exclusive scope that never wrote does not
+            claim ownership;
+          - a range cache-maintenance operation (and an SPM staging
+            copy) arbitrates for the SDRAM port once per burst instead
+            of once per line (per word);
+          - polling a word in the polling core's own local memory (a
+            DSM replica) backs off at most 64 cycles instead of 512:
+            such polls disturb no other tile (Section VI-B). *)
   fault_seed : int;
       (** Seed of the fault plane's deterministic hash stream ({!Fault}):
           same seed, same fault schedule, bit for bit. *)
@@ -116,9 +115,7 @@ val small : t
 (** A 4-tile variant for tests. *)
 
 val unbatched : t -> t
-(** The same machine with every batching optimization disabled
-    ([noc_multicast], [dsm_lazy_versions], [batched_maint] off and the
-    conservative 512-cycle local poll backoff) — the pre-batching cost
+(** The same machine with [batched = false] — the pre-batching cost
     model used as the reference side of regression benches and of the
     batched/unbatched equivalence tests. *)
 

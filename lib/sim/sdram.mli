@@ -21,7 +21,7 @@ val contend_line : t -> now:int -> int
 val contend_burst : t -> now:int -> lines:int -> int
 (** Queue once for a burst of [lines] back-to-back line transfers; the
     port stays held for the whole burst.  This is the batched
-    cache-maintenance model selected by {!Config.t.batched_maint}. *)
+    cache-maintenance model selected by {!Config.t.batched}. *)
 
 val blit_to : t -> addr:int -> Mem.t -> pos:int -> len:int -> unit
 (** Bulk copy out of the SDRAM byte store (data path only — the caller

@@ -105,37 +105,28 @@ type _ check =
   | Model : History.violation check
   | Races : Racecheck.race check
 
-type inconclusive =
-  | Dropped of int
-  | Over_budget of { events : int; budget : int }
+type inconclusive = Dropped of int
 
 type 'a verdict =
   | Consistent
   | Violations of 'a list
   | Inconclusive of inconclusive
 
-let verdict (type a) ?budget (check : a check) ~cores ~dropped
-    (trace : Event.t list) : a verdict =
+let verdict (type a) (check : a check) ~cores ~dropped (trace : Event.t list)
+    : a verdict =
   if dropped > 0 then Inconclusive (Dropped dropped)
   else
-    match budget with
-    | Some budget when List.compare_length_with trace budget > 0 ->
-        Inconclusive (Over_budget { events = List.length trace; budget })
-    | _ -> (
-        let found : a list =
-          match check with
-          | Model ->
-              let l = lower trace in
-              let report =
-                History.check ~init:l.init ~procs:cores ~locs:(max 1 l.locs)
-                  l.events
-              in
-              report.History.violations
-          | Races -> Racecheck.check ~cores trace
-        in
-        match found with [] -> Consistent | l -> Violations l)
+    let found : a list =
+      match check with
+      | Model ->
+          let l = lower trace in
+          let report =
+            History.check ~init:l.init ~procs:cores ~locs:(max 1 l.locs)
+              l.events
+          in
+          report.History.violations
+      | Races -> Racecheck.check ~cores trace
+    in
+    match found with [] -> Consistent | l -> Violations l
 
-let pp_inconclusive ppf = function
-  | Dropped n -> Fmt.pf ppf "%d events dropped" n
-  | Over_budget { events; budget } ->
-      Fmt.pf ppf "%d events exceed the replay budget of %d" events budget
+let pp_inconclusive ppf (Dropped n) = Fmt.pf ppf "%d events dropped" n

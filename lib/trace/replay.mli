@@ -30,10 +30,7 @@ type _ check =
       (** {!lower}, then replay through {!Pmc_model.History.check} *)
   | Races : Racecheck.race check  (** dynamic race detection *)
 
-type inconclusive =
-  | Dropped of int  (** events the trace rings overwrote *)
-  | Over_budget of { events : int; budget : int }
-      (** the trace holds more events than the caller's budget *)
+type inconclusive = Dropped of int  (** events the trace rings overwrote *)
 
 type 'a verdict =
   | Consistent
@@ -41,11 +38,11 @@ type 'a verdict =
   | Inconclusive of inconclusive  (** the trace could not be judged *)
 
 val verdict :
-  ?budget:int -> 'a check -> cores:int -> dropped:int -> Event.t list ->
-  'a verdict
+  'a check -> cores:int -> dropped:int -> Event.t list -> 'a verdict
 (** Judge a recorded trace, [dropped] being the events its recorder
-    lost ({!Recorder.dropped_total}).  A lossy trace, or one longer than
-    [budget] events, is [Inconclusive] and is never checked: it can
-    yield no race and no violation. *)
+    lost ({!Recorder.dropped_total}).  A lossy trace is [Inconclusive]
+    and is never checked: it can yield no race and no violation.  Every
+    complete trace is checked, whatever its length — the per-core rings
+    ({!Recorder.attach}) already bound it. *)
 
 val pp_inconclusive : Format.formatter -> inconclusive -> unit

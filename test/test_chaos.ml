@@ -302,8 +302,7 @@ let run_seed ~backend ~seed =
     | Some a -> a
     | None -> Alcotest.fail "histogram app missing"
   in
-  Pmc_apps.Chaos.run_one ~model_check:false app ~backend ~cores:4 ~scale:6
-    ~seed
+  Pmc_apps.Chaos.run_one app ~backend ~cores:4 ~scale:6 ~seed
 
 let prop_seeded_runs_acceptable =
   QCheck.Test.make ~count:25 ~name:"chaos runs complete or fail typed"
@@ -357,11 +356,14 @@ let prop_seeded_runs_deterministic =
 (* a complete soak — the job batch pmc_chaos runs — with the model replay
    on, at a geometry small enough for the checker *)
 let test_soak_with_replay () =
-  let s =
+  let results =
     Pmc_jobs.Run.chaos_wall ~apps:[ "histogram"; "reduce" ] ~backend:"dsm"
       ~topology:"star" ~cores:4 ~scale:4 ~seeds:[ 1; 2; 3; 4; 5 ]
-      ~intensity:1.0 ~model_check:true ~replay_budget:None
+      ~intensity:1.0
     |> Pmc_jobs.Run.run_all
+  in
+  let s =
+    results
     |> List.map (function
          | Pmc_jobs.Result.Chaos_soaked r -> r
          | r -> Alcotest.failf "not a chaos report: %a" Pmc_jobs.Result.pp r)
@@ -371,7 +373,60 @@ let test_soak_with_replay () =
   Alcotest.(check int) "no silent failures" 0 s.Pmc_apps.Chaos.failed;
   Alcotest.(check int) "every completed run replayed" 0
     s.Pmc_apps.Chaos.unchecked;
-  Alcotest.(check bool) "soak passes" true (Pmc_apps.Chaos.ok s)
+  Alcotest.(check int) "soak passes" 0
+    (Pmc_jobs.Result.exit_code_wall results)
+
+(* A complete trace is judged whatever its length: this run records over
+   100k events and must still replay. *)
+let test_long_trace_replayed () =
+  let app =
+    match Pmc_apps.Registry.find "stencil" with
+    | Some a -> a
+    | None -> Alcotest.fail "stencil app missing"
+  in
+  let r =
+    Pmc_apps.Chaos.run_one app ~backend:Pmc.Backends.Dsm ~cores:4 ~scale:64
+      ~seed:1
+  in
+  Alcotest.(check int) "events captured" 105_898 r.Pmc_apps.Chaos.events;
+  Alcotest.(check int) "nothing dropped" 0 r.Pmc_apps.Chaos.dropped;
+  Alcotest.(check bool) "completed" true
+    (r.Pmc_apps.Chaos.verdict = Pmc_apps.Chaos.Completed);
+  Alcotest.(check bool) "replayed" true r.Pmc_apps.Chaos.replayed
+
+(* The one exit-5 rule: a completed run the model replay could not judge
+   is inconclusive, and in a batch it ranks below every failure. *)
+let test_unjudged_exits_5 () =
+  let report verdict ~replayed : Pmc_apps.Chaos.report =
+    {
+      Pmc_apps.Chaos.app = "stencil"; backend = Pmc.Backends.Dsm; cores = 4;
+      scale = 4; seed = 1; intensity = 1.0; verdict; wall = 100;
+      faults = Pmc_apps.Chaos.soak_counts (Pmc_apps.Chaos.summarize []);
+      events = 10; dropped = (if replayed then 0 else 5); replayed;
+    }
+  in
+  let module R = Pmc_jobs.Result in
+  let unjudged =
+    R.Chaos_soaked (report Pmc_apps.Chaos.Completed ~replayed:false)
+  in
+  let judged = R.Chaos_soaked (report Pmc_apps.Chaos.Completed ~replayed:true) in
+  let wrong =
+    R.Chaos_soaked
+      (report
+         (Pmc_apps.Chaos.Wrong_result { checksum = 1L; reference = 2L })
+         ~replayed:false)
+  in
+  Alcotest.(check int) "unjudged run exits 5" 5 (R.exit_code unjudged);
+  Alcotest.(check int) "judged run exits 0" 0 (R.exit_code judged);
+  Alcotest.(check int) "wrong result exits 3" 3 (R.exit_code wrong);
+  List.iter
+    (fun (name, combine) ->
+      Alcotest.(check int) (name ^ ": 5 alone") 5
+        (combine [ judged; unjudged ]);
+      Alcotest.(check int) (name ^ ": 3 outranks 5") 3
+        (combine [ unjudged; wrong ]);
+      Alcotest.(check int) (name ^ ": all judged") 0 (combine [ judged ]))
+    [ ("exit_code_all", R.exit_code_all); ("exit_code_wall", R.exit_code_wall) ]
 
 let suite =
   ( "chaos",
@@ -405,4 +460,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_disarmed_power_cut_identical;
       QCheck_alcotest.to_alcotest prop_seeded_runs_deterministic;
       Alcotest.test_case "soak with model replay" `Slow test_soak_with_replay;
+      Alcotest.test_case "a 100k-event trace is replayed" `Slow
+        test_long_trace_replayed;
+      Alcotest.test_case "an unjudged run exits 5, below failures" `Quick
+        test_unjudged_exits_5;
     ] )

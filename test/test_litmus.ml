@@ -214,15 +214,15 @@ let prop_pmc_contains_sc =
 
    The BFS memoizes on hand-packed keys and can fan a level out over a
    domain pool; both are pure optimizations, so every observable result
-   field must match (a) the same semantics memoized on [marshal_key] —
-   the previous key implementation, retained as the reference — and
-   (b) the sequential exploration, at any pool width. *)
+   field must match (a) the same semantics memoized on the [Marshal]ed
+   state — the previous key implementation, kept here as the reference —
+   and (b) the sequential exploration, at any pool width. *)
 
 let with_marshal_key (module M : Models.SEM) : (module Models.SEM) =
   (module struct
     include M
 
-    let key st = Models.marshal_key st
+    let key st = Marshal.to_string st []
   end)
 
 let result_sig (r : Litmus.result) =

@@ -112,9 +112,9 @@ let test_ids_are_domain_local_and_resettable () =
 (* ---------------- parallel == sequential: chaos soak ---------------- *)
 
 (* A soak is a batch of chaos jobs, as pmc_chaos runs it. *)
-let soak ?pool ~apps ~scale ~seeds ~model_check () =
+let soak ?pool ~apps ~scale ~seeds () =
   Pmc_jobs.Run.chaos_wall ~apps ~backend:"dsm" ~topology:"star" ~cores:4
-    ~scale ~seeds ~intensity:1.0 ~model_check ~replay_budget:None
+    ~scale ~seeds ~intensity:1.0
   |> Pmc_jobs.Run.run_all ?pool
   |> List.map (function
        | Pmc_jobs.Result.Chaos_soaked r -> r
@@ -122,7 +122,7 @@ let soak ?pool ~apps ~scale ~seeds ~model_check () =
   |> Pmc_apps.Chaos.summarize
 
 let soak_with pool ~seeds =
-  soak ?pool ~apps:[ "histogram" ] ~scale:6 ~seeds ~model_check:false ()
+  soak ?pool ~apps:[ "histogram" ] ~scale:6 ~seeds ()
 
 let prop_parallel_soak_equals_sequential =
   QCheck.Test.make ~count:8
@@ -135,11 +135,10 @@ let prop_parallel_soak_equals_sequential =
           seq = soak_with (Some pool) ~seeds))
 
 let test_parallel_soak_with_replay_identical () =
-  (* with the model replay on, too: the recorder/replay path is the part
+  (* two apps, every run replayed: the recorder/replay path is the part
      with the most per-run state *)
   let replay_soak ?pool () =
-    soak ?pool ~apps:[ "histogram"; "reduce" ] ~scale:4 ~seeds:[ 1; 2; 3 ]
-      ~model_check:true ()
+    soak ?pool ~apps:[ "histogram"; "reduce" ] ~scale:4 ~seeds:[ 1; 2; 3 ] ()
   in
   let seq = replay_soak () in
   Pool.with_pool ~jobs:2 (fun pool ->

@@ -59,8 +59,6 @@ let gen_job =
     let* c_scale = int_range 1 32 in
     let* seed = int_bound 10_000 in
     let* k = int_bound 24 in
-    let* model_check = bool in
-    let* replay_budget = opt (int_range 1 (2 * Pmc_apps.Chaos.default_replay_budget)) in
     return
       (Job.Chaos
          {
@@ -71,8 +69,6 @@ let gen_job =
            c_scale;
            seed;
            intensity = float_of_int k /. 8.0;
-           model_check;
-           replay_budget;
          })
   in
   oneof [ litmus; check; bench; chaos ]
@@ -230,8 +226,6 @@ let some_jobs =
         c_scale = 4;
         seed = 3;
         intensity = 1.0;
-        model_check = true;
-        replay_budget = None;
       };
   ]
 
